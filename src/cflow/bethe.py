@@ -301,17 +301,10 @@ def gp_scaling_flow(q2: float, s_contour, chi0: complex, xi0: complex) -> Trajec
             raise SingularFlow(f"contour too close to the singular locus at s = {s}")
         return s / d
 
-    chi = complex(chi0)
-    states = [FlowState(pts[0], chi, complex(xi0) * cmath.exp(pts[0]))]
-    for sa, sb in zip(pts, pts[1:]):
-        ds = sb - sa
+    def f(s, y):
+        return np.asarray(coeff(s) * y, dtype=complex)
 
-        def f(t, y, sa=sa, ds=ds):
-            s = sa + t * ds
-            return np.asarray(coeff(s) * y * ds, dtype=complex)
-
-        _, ys = solve_rk4(f, 0.0, 1.0, chi)
-        chi = complex(ys[-1])
-        states.append(FlowState(sb, chi, complex(xi0) * cmath.exp(sb)))
+    chis = solve_rk4(f, pts, complex(chi0))
+    states = [FlowState(s, chi, complex(xi0) * cmath.exp(s)) for s, chi in zip(pts, chis)]
     angle = cmath.phase(pts[-1] - pts[0]) if pts[-1] != pts[0] else 0.0
     return Trajectory(tuple(states), angle, abs(pts[1] - pts[0]))

@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, bethe, oscillator, rgflow, specfun, svg
 from .config import (RunConfig, SUBCOMMANDS, canonical_echo, echo_path,
                      parse_config)
-from .errors import (BlowUp, CflowError, NoConvergence, ParseError,
+from .errors import (CflowError, FlowStopped, NoConvergence, ParseError,
                      SchemaError, ValidationError)
 
 _CSV_HEADER = ("s,Re tau,Im tau,Re g_inv,Im g_inv,"
@@ -167,30 +167,25 @@ def _flow_rows_contour(p: dict, variant: str):
     init = rgflow.FlowState(contour[0], complex(p.get("ginv0", 1.0)),
                             complex(p.get("gamma0", 0.5)))
     N = int(p.get("N", 1))
-
-    def advance(state, segment):
-        if variant == "n-power":
-            return rgflow.n_power_flow(state, N, segment)
-        return rgflow.lr_flow(state, N, float(p.get("nu", 1.0)), segment)
-
-    rows = [(0.0, init.tau, init.g_inv, init.gamma, math.nan)]
-    arc = 0.0
-    state = init
-    # integrate one contour segment at a time so a blow-up still leaves
-    # every completed sample in the output
+    arcs = [0.0]
     for ta, tb in zip(contour, contour[1:]):
-        try:
-            traj = advance(state, [ta, tb])
-        except BlowUp as exc:
-            rows.append((arc + abs(exc.tau_star - ta), exc.tau_star,
-                         complex(math.nan, math.nan),
-                         complex(math.nan, math.nan), "diverged"))
-            return rows, 2
-        state = rgflow.FlowState(tb, traj.states[-1].g_inv,
-                                 traj.states[-1].gamma)
-        arc += abs(tb - ta)
-        rows.append((arc, state.tau, state.g_inv, state.gamma, math.nan))
-    return rows, 0
+        arcs.append(arcs[-1] + abs(tb - ta))
+    try:
+        if variant == "n-power":
+            traj = rgflow.n_power_flow(init, N, contour)
+        else:
+            traj = rgflow.lr_flow(init, N, float(p.get("nu", 1.0)), contour)
+    except FlowStopped as exc:
+        # keep every completed node, then mark where the flow stopped
+        rows = [(arcs[k], contour[k], y[0], y[1], math.nan)
+                for k, y in enumerate(exc.samples)]
+        last = len(exc.samples) - 1
+        rows.append((arcs[last] + abs(exc.tau_star - contour[last]), exc.tau_star,
+                     complex(math.nan, math.nan),
+                     complex(math.nan, math.nan), "diverged"))
+        return rows, 2
+    return [(arc, st.tau, st.g_inv, st.gamma, math.nan)
+            for arc, st in zip(arcs, traj.states)], 0
 
 
 def _flow_rows_cf(p: dict):
@@ -383,7 +378,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, SchemaError) as exc:
         sys.stderr.write(f"cflow: {exc}\n")
         return 1
-    except (NoConvergence, BlowUp) as exc:
+    except (NoConvergence, FlowStopped) as exc:
         sys.stderr.write(f"cflow: diverged: {exc}\n")
         return 2
     except CflowError as exc:

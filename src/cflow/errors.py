@@ -33,7 +33,20 @@ class SingularSystem(CflowError):
     """Truncated linear system for the series coefficients is rank deficient."""
 
 
-class StepSizeUnderflow(CflowError):
+class FlowStopped(CflowError):
+    """Path integration stopped before the last node.
+
+    ``tau_star`` is the flow parameter where it stopped and ``samples`` holds
+    the solution at every node completed before it.
+    """
+
+    def __init__(self, message, tau_star=None, samples=None):
+        super().__init__(message)
+        self.tau_star = tau_star
+        self.samples = samples
+
+
+class StepSizeUnderflow(FlowStopped):
     """Adaptive integrator reduced the step below the representable minimum."""
 
 
@@ -53,15 +66,8 @@ class BranchCollision(CflowError):
     """Implicit recursion step degenerated (vanishing discriminant)."""
 
 
-class BlowUp(CflowError):
-    """Flow diverged at finite flow parameter.
-
-    The divergence location is available as ``tau_star``.
-    """
-
-    def __init__(self, message, tau_star=None):
-        super().__init__(message)
-        self.tau_star = tau_star
+class BlowUp(FlowStopped):
+    """Flow diverged at finite flow parameter ``tau_star``."""
 
 
 class ExceptionalPoint(CflowError):

@@ -239,13 +239,8 @@ def unitary_phase_ode_solve(c1_mod2: float, x_grid, theta0=0.0, dtheta0=0.0):
         theta, dtheta = y
         return np.array([dtheta, -1j * x * dtheta - (c1_mod2 - x * x)], dtype=complex)
 
-    y = np.array([theta0, dtheta0], dtype=complex)
-    out = [(xs[0], complex(y[0]))]
-    for x0, x1 in zip(xs, xs[1:]):
-        _, ys = solve_rk4(f, x0, x1, y)
-        y = ys[-1]
-        out.append((x1, complex(y[0])))
-    return out
+    ys = solve_rk4(f, xs, [theta0, dtheta0])
+    return [(x, complex(y[0])) for x, y in zip(xs, ys)]
 
 
 def rho_omega(omega: float, k: float) -> complex:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import specfun as sf
-from .errors import (BlowUp, BranchCollision, BranchCut, DivisionByZero,
+from .errors import (BranchCollision, BranchCut, DivisionByZero,
                      DomainError, ExceptionalPoint, NoConvergence, RangeError)
 from .integrate import solve_rk4
 
@@ -70,30 +70,10 @@ class WetterichParams:
 
 def ray_contour(angle: float, s_max: float, n_points: int):
     """Straight contour tau(s) = s e^{i angle}, s on [0, s_max]."""
+    if n_points < 2:
+        raise DomainError("contour needs at least two points")
     e = cmath.exp(1j * angle)
     return [s_max * k / (n_points - 1) * e for k in range(n_points)]
-
-
-def _integrate_contour(rhs, y0, contour, blowup=None):
-    """RK4 along a polyline of complex tau nodes; samples at the nodes."""
-    taus = [complex(t) for t in contour]
-    if len(taus) < 2:
-        raise DomainError("contour needs at least two points")
-    y = np.asarray(y0, dtype=complex)
-    out = [y.copy()]
-    for ta, tb in zip(taus, taus[1:]):
-        dtau = tb - ta
-
-        def f(s, v, ta=ta, dtau=dtau):
-            return rhs(ta + s * dtau, v) * dtau
-
-        try:
-            _, ys = solve_rk4(f, 0.0, 1.0, y, blowup=blowup, min_step_factor=1e-16)
-        except BlowUp as exc:
-            raise BlowUp(str(exc), tau_star=ta + exc.tau_star * dtau) from None
-        y = ys[-1]
-        out.append(np.asarray(y, dtype=complex).copy())
-    return taus, out
 
 
 def _trajectory_from_samples(taus, samples):
@@ -164,15 +144,12 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
         root = 1.5 * (C + 2.0 * math.sqrt(gammas[0]))
         if root <= 0:
             raise DomainError("no real t matches this invariant at the first gamma")
-        t = root ** -2.0
 
         def f(g, y):
             return np.asarray(-3.0 * y ** 1.5 / math.sqrt(g), dtype=complex)
 
-        for i, g in enumerate(gammas):
-            if i > 0:
-                _, ys = solve_rk4(f, gammas[i - 1], g, complex(t))
-                t = ys[-1].real
+        for g, t in zip(gammas, solve_rk4(f, gammas, root ** -2.0)):
+            t = t.real
             g_inv = g ** 1.5 / math.sqrt(t)
             states.append(FlowState(g, g_inv, g))
             invariants.append((2.0 / 3.0) * t ** -0.5 - 2.0 * math.sqrt(g))
@@ -195,6 +172,7 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
 # ---------------------------------------------------------------------------
 
 BLOWUP_G = 1e12
+_BLOWUP = (BLOWUP_G, "inverse propagator")
 
 
 def n_power_flow(init: FlowState, N: int, contour) -> Trajectory:
@@ -206,8 +184,10 @@ def n_power_flow(init: FlowState, N: int, contour) -> Trajectory:
         g, gam = y
         return np.array([g * g - N * N * gam ** (2 * N), gam * g], dtype=complex)
 
-    taus, samples = _integrate_contour(rhs, [init.g_inv, init.gamma], contour,
-                                       blowup=(BLOWUP_G, "inverse propagator"))
+    taus = [complex(t) for t in contour]
+    if len(taus) < 2:
+        raise DomainError("contour needs at least two points")
+    samples = solve_rk4(rhs, taus, [init.g_inv, init.gamma], blowup=_BLOWUP)
     return _trajectory_from_samples(taus, samples)
 
 
@@ -228,8 +208,10 @@ def lr_flow(init: FlowState, N: int, nu: float, contour) -> Trajectory:
         dgam = sign * gam * s * s * g / N
         return np.array([dg, dgam], dtype=complex)
 
-    taus, samples = _integrate_contour(rhs, [init.g_inv, init.gamma], contour,
-                                       blowup=(BLOWUP_G, "inverse propagator"))
+    taus = [complex(t) for t in contour]
+    if len(taus) < 2:
+        raise DomainError("contour needs at least two points")
+    samples = solve_rk4(rhs, taus, [init.g_inv, init.gamma], blowup=_BLOWUP)
     return _trajectory_from_samples(taus, samples)
 
 

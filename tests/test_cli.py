@@ -6,6 +6,7 @@ inspects the files it writes plus the exit code.
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -64,6 +65,22 @@ class TestFlowCommand:
         # at least the initial sample survives, and the divergence point
         # carries a finite tau estimate
         assert len(rows) >= 2
+        assert math.isfinite(float(rows[-1][1]))
+
+    def test_step_underflow_leaves_partial_rows_marker_and_exit_2(
+            self, in_tmp, capsys):
+        # gamma0**4 overflows, so every trial step is non-finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["flow", "--variant", "n-power", "--N", "2",
+                         "--gamma0", "1e100", "--ginv0", "1",
+                         "--n_points", "5", "--out", "y.csv"])
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) <= 1
+        header, rows = _read_csv(in_tmp / "y.csv")
+        assert header == FLOW_HEADER
+        assert float(rows[0][3]) == 1.0 and float(rows[0][5]) == 1e100
+        assert rows[-1][-1] == "diverged"
         assert math.isfinite(float(rows[-1][1]))
 
     def test_one_loop_invariant_constant_along_flow(self, in_tmp):
@@ -139,6 +156,11 @@ class TestConfigFileAndErrors:
     def test_help_exits_0(self, in_tmp, capsys):
         assert main(["--help"]) == 0
         assert "subcommand" in capsys.readouterr().out
+
+    def test_single_point_contour_exits_1(self, in_tmp, capsys):
+        assert main(["flow", "--variant", "n-power", "--n_points", "1",
+                     "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err == "cflow: contour needs at least two points\n"
 
     def test_domain_error_exits_1(self, in_tmp):
         # gamma grid must be increasing

@@ -5,12 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from cflow import oscillator as osc
 from cflow import specfun as sf
 from cflow.errors import DomainError, TruncationWarning
-from cflow.integrate import solve_rk4
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +154,10 @@ def test_theta_matches_ode_integration():
         return math.exp(-x ** (2 * N + 1) / (2 * N + 1)) * inner(x)
 
     x1 = 1.0
-    _, ys = solve_rk4(f, 1e-6, x1, complex(osc.theta_phase(p, 1e-6 ** (2 * N + 2) / a)),
-                      rel_tol=1e-8)
-    want = ys[-1]
+    y0 = complex(osc.theta_phase(p, 1e-6 ** (2 * N + 2) / a))
+    sol = solve_ivp(lambda x, th: [f(x, th)], (1e-6, x1), [y0],
+                    method="RK45", rtol=1e-10, atol=1e-12)
+    want = sol.y[0, -1]
     got = osc.theta_phase(p, x1 ** (2 * N + 2) / a)
     assert abs(got - want) / abs(want) < 1e-5
 
@@ -178,7 +178,7 @@ def test_wavefunction_at_origin_is_c0():
 
 
 def test_wavefunction_matches_ode_shooting_at_n0():
-    # Dual route: series summation vs RK4 shooting of the recurrence's
+    # Dual route: series summation vs RK45 shooting of the recurrence's
     # generating ODE alpha'' + x alpha' - E alpha = 0, times the prefactor.
     E = 1.3
     p = osc.OscParams(0, 0.0, E)
@@ -188,8 +188,9 @@ def test_wavefunction_matches_ode_shooting_at_n0():
         return np.array([y[1], E * y[0] - x * y[1]], dtype=complex)
 
     for x1 in (0.4, 0.9, 1.5):
-        _, ys = solve_rk4(f, 0.0, x1, np.array([1.0, 0.0], dtype=complex))
-        want = math.exp(-x1 * x1 / 2.0) * ys[-1][0]
+        sol = solve_ivp(f, (0.0, x1), np.array([1.0, 0.0], dtype=complex),
+                        method="RK45", rtol=1e-10, atol=1e-12)
+        want = math.exp(-x1 * x1 / 2.0) * sol.y[0, -1]
         got = osc.assemble_wavefunction(x1, s)
         assert abs(got - want) / abs(want) < 1e-5
 

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from cflow import rgflow as rg
 from cflow.errors import (BlowUp, BranchCollision, BranchCut, DivisionByZero,
                           DomainError, ExceptionalPoint, RangeError)
-from cflow.integrate import _rk4_step
+from cflow.integrate import _rk4_step, solve_rk4
 
 
 def cquad(f, a, b):
@@ -121,6 +121,11 @@ class TestNPowerFlow:
         # pole of 1/(1 - tau) at tau = 1
         assert abs(complex(exc.value.tau_star) - 1.0) < 0.05
 
+    @pytest.mark.parametrize("n_points", [1, 0])
+    def test_ray_contour_needs_two_points(self, n_points):
+        with pytest.raises(DomainError):
+            rg.ray_contour(0.0, 1.0, n_points)
+
     def test_log_gamma_equals_contour_integral_of_g_inv(self):
         contour = rg.ray_contour(math.pi / 6, 0.6, 601)
         traj = rg.n_power_flow(rg.FlowState(0.0, 0.8, 0.4), 2, contour)
@@ -161,6 +166,42 @@ class TestNPowerFlow:
             gam = s.gamma.real
             level = 1.5 * (2.0 * gam * gam + C * gam ** 1.5)
             assert abs(s.g_inv - level) < 1e-6 * abs(level)
+
+
+class TestPathIntegrator:
+    def test_exponential_on_kinked_complex_polyline(self):
+        # non-uniform segments, sharp turns and one zero-length segment
+        nodes = [0.0, 0.3, 0.35 + 0.4j, 0.35 + 0.4j, -0.2 + 0.45j,
+                 -0.21 + 1.3j, 0.9 + 1.0j]
+        ys = solve_rk4(lambda t, y: y, nodes, 1.0)
+        assert len(ys) == len(nodes)
+        for t, y in zip(nodes, ys):
+            assert abs(y - cmath.exp(t - nodes[0])) < 1e-9
+
+    def test_step_carries_across_nodes(self):
+        # A restart at a fraction of every segment costs 60 evaluations
+        # per node on this grid; one pass costs about 12.
+        calls = []
+
+        def rhs(tau, y):
+            calls.append(tau)
+            g, gam = y
+            return np.array([g * g - 4.0 * gam ** 4, gam * g], dtype=complex)
+
+        contour = rg.ray_contour(math.pi / 8, 1.0, 1201)
+        solve_rk4(rhs, contour, [0.8, 0.4])
+        assert len(calls) / (len(contour) - 1) <= 16
+
+    def test_blowup_carries_stop_point_and_completed_nodes(self):
+        nodes = rg.ray_contour(0.0, 2.0, 40)
+        with pytest.raises(BlowUp) as exc:
+            solve_rk4(lambda t, y: y * y, nodes, 1.0, blowup=(1e12, "y"))
+        assert abs(exc.value.tau_star - 1.0) < 1e-9
+        # nodes 0, 2/39, ..., 38/39 lie before the pole of 1/(1 - tau)
+        samples = exc.value.samples
+        assert len(samples) == 20
+        for t, y in zip(nodes, samples):
+            assert abs(y - 1.0 / (1.0 - t)) < 1e-8 * abs(y)
 
 
 # ---------------------------------------------------------------------------
