@@ -16,15 +16,14 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import analysis, bethe, oscillator, rgflow, specfun, svg
 from .config import (RunConfig, SUBCOMMANDS, canonical_echo, echo_path,
                      parse_config)
-from .errors import (CflowError, FlowStopped, NoConvergence, ParseError,
-                     SchemaError, ValidationError)
+from .errors import (CflowError, FlowStopped, NoConvergence, Overflow,
+                     ParseError, SchemaError, ValidationError)
 
 _CSV_HEADER = ("s,Re tau,Im tau,Re g_inv,Im g_inv,"
                "Re gamma,Im gamma,invariant")
@@ -55,7 +54,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity: not valid JSON
+        raise Overflow(f"{path} not written: {exc}") from exc
+    _write_text(path, text + "\n")
 
 
 def _cnum(x) -> dict:
@@ -136,14 +139,14 @@ def _flow_rows_recursion(p: dict):
     for _ in range(steps):
         try:
             state = rgflow.tau_step_recursion(state, step=step)
-        except NoConvergence:
+        except NoConvergence as exc:
             rows.append((arc + step, state.tau + step,
                          complex(math.nan, math.nan),
                          complex(math.nan, math.nan), "diverged"))
-            return rows, 2
+            return rows, exc
         arc += step
         rows.append((arc, state.tau, state.g_inv, state.gamma, math.nan))
-    return rows, 0
+    return rows, None
 
 
 def _flow_rows_one_loop(p: dict, variant: str):
@@ -157,7 +160,7 @@ def _flow_rows_one_loop(p: dict, variant: str):
     for i, (st, inv) in enumerate(zip(traj.states, invariants)):
         rows.append((float(grid[i]) - float(grid[0]), st.tau, st.g_inv,
                      st.gamma, inv))
-    return rows, 0
+    return rows, None
 
 
 def _flow_rows_contour(p: dict, variant: str):
@@ -183,9 +186,9 @@ def _flow_rows_contour(p: dict, variant: str):
         rows.append((arcs[last] + abs(exc.tau_star - contour[last]), exc.tau_star,
                      complex(math.nan, math.nan),
                      complex(math.nan, math.nan), "diverged"))
-        return rows, 2
+        return rows, exc
     return [(arc, st.tau, st.g_inv, st.gamma, math.nan)
-            for arc, st in zip(arcs, traj.states)], 0
+            for arc, st in zip(arcs, traj.states)], None
 
 
 def _flow_rows_cf(p: dict):
@@ -198,28 +201,33 @@ def _flow_rows_cf(p: dict):
     for i, (t, v) in enumerate(zip(taus, vals)):
         rows.append((float(i), complex(t), complex(v),
                      complex(math.nan, math.nan), math.nan))
-    return rows, 0
+    return rows, None
 
 
 def _run_flow(cfg: RunConfig) -> int:
     p = cfg.params
     (variant,) = _need(p, "variant")
+    # each builder returns its rows and, for a flow that stopped early, the
+    # exception; the last row is then the divergence marker at tau*
     if variant == "tau-recursion":
-        rows, code = _flow_rows_recursion(p)
+        rows, stop = _flow_rows_recursion(p)
     elif variant in ("one-loop-v1", "one-loop-v2"):
         inner = {"one-loop-v1": "separated_v1",
                  "one-loop-v2": "appendix_v2"}[variant]
-        rows, code = _flow_rows_one_loop(p, inner)
+        rows, stop = _flow_rows_one_loop(p, inner)
     elif variant in ("n-power", "lr"):
-        rows, code = _flow_rows_contour(p, variant)
+        rows, stop = _flow_rows_contour(p, variant)
     else:
-        rows, code = _flow_rows_cf(p)
+        rows, stop = _flow_rows_cf(p)
     lines = [_CSV_HEADER]
     for s, tau, g_inv, gamma, inv in rows:
         lines.append(_csv_row(s, complex(tau), complex(g_inv),
                               complex(gamma), inv))
     _write_text(cfg.out_path, "\n".join(lines) + "\n")
-    return code
+    if stop is None:
+        return 0
+    sys.stderr.write(f"cflow: diverged at tau* = {complex(rows[-1][1])}: {stop}\n")
+    return 2
 
 
 def _run_cycle(cfg: RunConfig) -> int:
@@ -262,16 +270,8 @@ def _run_phase(cfg: RunConfig) -> int:
     nu = float(p.get("nu", 1.0))
     n_max = int(p.get("n_max", 256))
 
-    threads = max(1, int(os.environ.get("CFLOW_THREADS", "1")))
-
-    def one(N):
-        return analysis.phase_diagram_scan([N], gamma, E0, k, nu, n_max)[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            singles = list(pool.map(one, N_list))
-    else:
-        singles = [one(N) for N in N_list]
+    singles = [analysis.phase_diagram_scan([N], gamma, E0, k, nu, n_max)[0]
+               for N in N_list]
 
     # joint power-law fit across the non-divergent integer powers, matching
     # the batch scan; per-point calls above only supply the scales
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except (NoConvergence, FlowStopped) as exc:
         sys.stderr.write(f"cflow: diverged: {exc}\n")
         return 2
-    except CflowError as exc:
+    except (CflowError, OSError) as exc:
         sys.stderr.write(f"cflow: {exc}\n")
         return 1
 

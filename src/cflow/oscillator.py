@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import specfun as sf
 from .errors import DomainError, SingularSystem, TruncationWarning
@@ -137,6 +136,9 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
         add(n, n - 4 * N - 2, e_m42 / ((2.0 * N + 1) ** 2 * denom))
         add(n, n - 2 * N, -pot / denom)
         add(n, n, -E / denom)
+    # imported here, not at module level: loading scipy would dominate the
+    # start-up of every cflow process, and only this call needs it
+    from scipy.linalg import solve_banded
     try:
         sol = solve_banded((lower, upper), ab, rhs)
     except np.linalg.LinAlgError as exc:
@@ -186,13 +188,6 @@ def theta_phase(params: OscParams, t: complex) -> complex:
     term3 = -0.5 * k * sf.cpow(a * t, b) * (-(2.0 * N + 1) * t + et * sf.cpow(-t, -b) * g3)
     term4 = -k * pot * sf.cpow(a * t, -d) * (-(N + 1.0) * t + et * sf.cpow(t, d) * N * g4) / N
     return term1 + term2 + term3 + term4
-
-
-def phase_solution(params: OscParams, t_samples) -> PhaseSolution:
-    """Evaluate the closed-form phase on a grid of t values."""
-    a, k, b, c, d = phase_constants(params.N)
-    samples = tuple((complex(t), theta_phase(params, t)) for t in t_samples)
-    return PhaseSolution(samples, b, c, d, a, k, params)
 
 
 def assemble_wavefunction(x: complex, sol: SeriesSolution, phase: PhaseSolution = None) -> complex:

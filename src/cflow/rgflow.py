@@ -12,6 +12,7 @@ tau(s) = s e^{i alpha} are built with `ray_contour`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,7 +257,10 @@ def gamma_tilde(beta: complex, k: complex, N, nu: float) -> complex:
 # log-action and its saddle points
 # ---------------------------------------------------------------------------
 
-_ARC_NODES = np.polynomial.legendre.leggauss(240)
+@functools.cache
+def _arc_nodes():
+    """240-point Gauss-Legendre rule, built on first use to keep imports cheap."""
+    return np.polynomial.legendre.leggauss(240)
 
 
 def _series_tail(w: complex, b: float) -> complex:
@@ -273,7 +277,7 @@ def _series_tail_arc(w: complex, b: float) -> complex:
     for Im w > 0).  Endpoint substitution s = sigma^2 absorbs the t^b
     singularity for b > -1.
     """
-    nodes, weights = _ARC_NODES
+    nodes, weights = _arc_nodes()
     sig = 0.5 * (nodes + 1.0)
     wts = 0.5 * weights
     s = sig * sig

@@ -48,7 +48,6 @@ class PrecisionPolicy:
 
     rel_tol: float = 1e-12
     max_terms: int = 10000
-    quad_panels: int = 256
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -144,10 +143,11 @@ def upper_incomplete_gamma(
 ) -> complex:
     """Upper incomplete gamma Gamma(s, z) on the principal branch.
 
-    Gamma(s, 0) reduces to the complete gamma.  For s at or near a
-    non-positive integer with z != 0 the recurrence
+    Gamma(s, 0) reduces to the complete gamma.  For s at or near a negative
+    integer with z != 0 the recurrence
     Gamma(s, z) = (Gamma(s+1, z) - z**s e**-z) / s lifts s out of the
-    pole of the complete gamma used by the series path.
+    pole of the complete gamma used by the series path, at most
+    ``policy.max_terms`` unit steps; beyond that it raises NonConvergence.
     """
     s = complex(s)
     z = complex(z)
@@ -155,23 +155,38 @@ def upper_incomplete_gamma(
         if _is_nonpositive_integer(s):
             raise PoleError(f"Gamma(s, 0) pole at s = {s}")
         return gamma(s)
-    if s.imag == 0 and abs(s.real - round(s.real)) < 1e-9 and round(s.real) <= 0:
-        if z.real > 0 and abs(z) > abs(s) + 1.0:
-            return _upper_gamma_cf(s, z, policy)
-        if round(s.real) == 0:
-            # Gamma(0, z) = E_1(z) = -euler_gamma - Log z - sum (-z)^k / (k k!).
-            total = -_EULER_GAMMA - clog(z)
-            term = 1.0 + 0.0j
-            for k in range(1, policy.max_terms):
-                term *= -z / k
-                total -= term / k
-                if abs(term) <= policy.rel_tol * max(abs(total), 1e-300):
-                    return total
+
+    def near_integer(s):
+        return s.imag == 0 and abs(s.real - round(s.real)) < 1e-9
+
+    def cf_applies(s):
+        return z.real > 0 and abs(z) > abs(s) + 1.0
+
+    lifted = []
+    while near_integer(s) and round(s.real) < 0 and not cf_applies(s):
+        if len(lifted) == policy.max_terms:
+            raise NonConvergence(f"Gamma(s, z) recurrence did not reach s = 0 "
+                                 f"within {policy.max_terms} steps")
+        lifted.append(s)
+        s = s + 1.0
+    if cf_applies(s):
+        total = _upper_gamma_cf(s, z, policy)
+    elif near_integer(s) and round(s.real) == 0:
+        # Gamma(0, z) = E_1(z) = -euler_gamma - Log z - sum (-z)^k / (k k!).
+        total = -_EULER_GAMMA - clog(z)
+        term = 1.0 + 0.0j
+        for k in range(1, policy.max_terms):
+            term *= -z / k
+            total -= term / k
+            if abs(term) <= policy.rel_tol * max(abs(total), 1e-300):
+                break
+        else:
             raise NonConvergence("exponential-integral series did not converge")
-        return (upper_incomplete_gamma(s + 1.0, z, policy) - cpow(z, s) * cmath.exp(-z)) / s
-    if z.real > 0 and abs(z) > abs(s) + 1.0:
-        return _upper_gamma_cf(s, z, policy)
-    return gamma(s) - _lower_gamma_series(s, z, policy)
+    else:
+        total = gamma(s) - _lower_gamma_series(s, z, policy)
+    for sk in reversed(lifted):
+        total = (total - cpow(z, sk) * cmath.exp(-z)) / sk
+    return total
 
 
 def _pfq_series(numer, denom, z, policy, term_limit=None):
@@ -306,7 +321,10 @@ def pfq(numer, denom, z, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
         return _hyp2f1_series(numer[0], numer[1], denom[0], z, policy)
     if z == 0:
         return 1.0 + 0.0j
-    return _pfq_series(numer, denom, z, policy)
+    total = _pfq_series(numer, denom, z, policy)
+    if not cmath.isfinite(total):
+        raise Overflow(f"pFq sum is not finite at z = {z}")
+    return total
 
 
 # ---------------------------------------------------------------------------

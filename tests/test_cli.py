@@ -6,11 +6,15 @@ inspects the files it writes plus the exit code.
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+from cflow import cli
 from cflow.cli import main
+from cflow.errors import Overflow
 
 
 @pytest.fixture()
@@ -52,7 +56,7 @@ class TestFlowCommand:
         assert echo.splitlines()[0] == "subcommand = flow"
         assert "gamma0 = 0.5" in echo
 
-    def test_blowup_leaves_partial_rows_marker_and_exit_2(self, in_tmp):
+    def test_blowup_leaves_partial_rows_marker_and_exit_2(self, in_tmp, capsys):
         code = main(["flow", "--variant", "n-power", "--N", "1",
                      "--gamma0", "0.1", "--ginv0", "2.0",
                      "--s_max", "30", "--n_points", "31",
@@ -66,6 +70,10 @@ class TestFlowCommand:
         # carries a finite tau estimate
         assert len(rows) >= 2
         assert math.isfinite(float(rows[-1][1]))
+        tau_star = complex(float(rows[-1][1]), float(rows[-1][2]))
+        assert capsys.readouterr().err.splitlines() == [
+            f"cflow: diverged at tau* = {tau_star}: inverse propagator "
+            f"diverged at flow parameter {tau_star}"]
 
     def test_step_underflow_leaves_partial_rows_marker_and_exit_2(
             self, in_tmp, capsys):
@@ -76,7 +84,8 @@ class TestFlowCommand:
                          "--gamma0", "1e100", "--ginv0", "1",
                          "--n_points", "5", "--out", "y.csv"])
         assert code == 2
-        assert len(capsys.readouterr().err.splitlines()) <= 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cflow: diverged at tau* = ")
         header, rows = _read_csv(in_tmp / "y.csv")
         assert header == FLOW_HEADER
         assert float(rows[0][3]) == 1.0 and float(rows[0][5]) == 1e100
@@ -99,6 +108,17 @@ class TestFlowCommand:
         assert code == 0
         _, rows = _read_csv(in_tmp / "rec.csv")
         assert len(rows) == 6
+
+    def test_tau_recursion_no_convergence_exit_2_one_line(self, in_tmp, capsys):
+        code = main(["flow", "--variant", "tau-recursion",
+                     "--gamma0", "5", "--ginv0", "0.01", "--steps", "30",
+                     "--step", "3", "--out", "rec.csv"])
+        assert code == 2
+        _, rows = _read_csv(in_tmp / "rec.csv")
+        assert rows[-1][-1] == "diverged" and float(rows[-1][1]) == 3.0
+        assert capsys.readouterr().err == (
+            "cflow: diverged at tau* = (3+0j): "
+            "coupling fixed point did not converge\n")
 
     def test_cf_rg_runs(self, in_tmp):
         code = main(["flow", "--variant", "cf-rg", "--ginv0", "1.0",
@@ -161,6 +181,35 @@ class TestConfigFileAndErrors:
         assert main(["flow", "--variant", "n-power", "--n_points", "1",
                      "--out", "x.csv"]) == 1
         assert capsys.readouterr().err == "cflow: contour needs at least two points\n"
+
+    def test_missing_input_file_exits_1(self, in_tmp, capsys):
+        assert main(["cycle", "--input", "missing.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "cflow: [Errno 2] No such file or directory: 'missing.csv'\n")
+
+    def test_out_path_in_missing_directory_exits_1(self, in_tmp, capsys):
+        assert main(["flow", "--variant", "n-power",
+                     "--out", "nodir/x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflow: ") and err.count("\n") == 1
+        assert not (in_tmp / "nodir").exists()
+
+    def test_non_finite_value_exits_1_without_json(self, in_tmp, capsys):
+        assert main(["eval", "--fn", "1f1", "--a", "1", "--b", "2",
+                     "--z_re", "800", "--out", "e.json"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (in_tmp / "e.json").exists()
+
+    def test_json_writer_refuses_nan_and_infinity(self, in_tmp):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(Overflow):
+                cli._write_json("bad.json", {"value": bad})
+        assert not (in_tmp / "bad.json").exists()
+
+    def test_gamma_u_recurrence_cap_exits_1(self, in_tmp, capsys):
+        assert main(["eval", "--fn", "gamma_u", "--s_re", "-1e308",
+                     "--z_re", "1", "--out", "g.json"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_domain_error_exits_1(self, in_tmp):
         # gamma grid must be increasing
@@ -240,12 +289,36 @@ class TestOtherSubcommands:
         assert fit["points_fit"] == 5
         assert fit["r_squared"] > 0.98
 
-    def test_phase_scan_thread_count_does_not_change_bytes(self, in_tmp,
-                                                           monkeypatch):
+    def test_phase_scan_repeat_is_byte_identical(self, in_tmp):
         args = ["phase", "--N_list", "2,3,4,5", "--gamma", "0.5",
                 "--E0", "1.0", "--k_re", "1.0", "--nu", "0.3"]
-        monkeypatch.setenv("CFLOW_THREADS", "1")
         assert main(args + ["--out", "p1.csv"]) == 0
-        monkeypatch.setenv("CFLOW_THREADS", "4")
         assert main(args + ["--out", "p2.csv"]) == 0
         assert (in_tmp / "p1.csv").read_bytes() == (in_tmp / "p2.csv").read_bytes()
+        assert ((in_tmp / "p1_fit.json").read_bytes()
+                == (in_tmp / "p2_fit.json").read_bytes())
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "src")
+
+
+def test_cold_cli_run_does_not_import_scipy(tmp_path):
+    # scipy.linalg costs ~250 ms of a cold cflow process; only
+    # oscillator.frobenius_coeffs may import it, at the call
+    script = """
+import sys
+import cflow.cli
+assert cflow.cli.main(["wetterich", "--mode", "real_osc", "--omega", "1.0",
+                       "--Lambda", "1000", "--out", "w.json"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+from cflow.oscillator import OscParams, frobenius_coeffs
+assert len(frobenius_coeffs(OscParams(1, 0.5, 1.0)).coeffs) == 21
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cflow import specfun as sf
-from cflow.errors import BranchCut, DomainError, Overflow, PoleError
+from cflow.errors import (BranchCut, DomainError, NonConvergence, Overflow,
+                          PoleError)
 
 mp.mp.dps = 30
 
@@ -51,6 +52,19 @@ def test_gamma_negative_real_argument():
     # The continued analytic function at negative z, principal branch.
     want = complex(mp.gammainc(mp.mpf("0.4"), mp.mpf("-3.0")))
     assert rel_err(sf.upper_incomplete_gamma(0.4, -3.0), want) < 1e-10
+
+
+@pytest.mark.parametrize("z", [0.8 + 0.3j, -1.5 + 0.2j, 2.5])
+def test_gamma_negative_integer_s_vs_mpmath(z):
+    # s = -3 takes three steps of the upward recurrence before the E_1 series
+    want = complex(mp.gammainc(-3, mp.mpc(z)))
+    assert rel_err(sf.upper_incomplete_gamma(-3.0, z), want) < 1e-11
+
+
+def test_gamma_recurrence_is_capped():
+    # s + 1 == s in floats, so the recurrence would never reach s = 0
+    with pytest.raises(NonConvergence):
+        sf.upper_incomplete_gamma(-1e308, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,6 +124,12 @@ def test_1f1_and_1f4():
     assert rel_err(sf.pfq((1,), (2,), 1.5j), complex(mp.hyp1f1(1, 2, mp.mpc(0, 1.5)))) < 1e-10
     want = complex(mp.hyper([mp.mpf(1)], [mp.mpf(1) / 2, mp.mpf(3) / 4, mp.mpf(5) / 4, mp.mpf(3) / 2], mp.mpf("-0.8")))
     assert rel_err(sf.pfq((1,), (0.5, 0.75, 1.25, 1.5), -0.8), want) < 1e-10
+
+
+def test_pfq_non_finite_sum_raises_overflow():
+    # 1F1(1; 2; 800) = (e^800 - 1)/800 is beyond the float range
+    with pytest.raises(Overflow):
+        sf.pfq((1.0,), (2.0,), 800.0)
 
 
 # ---------------------------------------------------------------------------
