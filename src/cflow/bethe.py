@@ -20,6 +20,7 @@ from .integrate import solve_rk4
 from .rgflow import FlowState, Trajectory
 
 _MIN_SEP = 1e-9
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,7 @@ class BetheRoots:
     residual: float        # max fixed-point defect
 
     def __post_init__(self):
-        rs = self.roots
-        for i in range(len(rs)):
-            for j in range(i + 1, len(rs)):
-                if abs(rs[i] - rs[j]) <= _MIN_SEP:
-                    raise CollisionError("roots are not pairwise distinct")
+        _check_separation(self.roots)
 
 
 @dataclass(frozen=True)
@@ -53,9 +50,9 @@ def _hermite_zeros(n):
     return np.polynomial.hermite.hermroots([0.0] * n + [1.0])
 
 
-def _defects(x, N):
+def _defects(x, N, lam=1.0):
     n = len(x)
-    sign = (-1.0) ** N
+    sign = lam * (-1.0) ** N
     out = np.zeros(n, dtype=complex)
     for j in range(n):
         rhs = 0.0 + 0.0j
@@ -88,52 +85,37 @@ def _check_separation(x):
     for i in range(n):
         for j in range(i + 1, n):
             if abs(x[i] - x[j]) < _MIN_SEP:
-                raise CollisionError("two roots collided during iteration")
+                raise CollisionError("roots are not pairwise distinct")
 
 
-def _newton(x, N, lam, tol, max_iter, damping):
-    for _ in range(max_iter):
+def _newton(x, N, lam, tol):
+    for _ in range(_NEWTON_STEPS):
         _check_separation(x)
-        F = _defects_weighted(x, N, lam)
+        F = _defects(x, N, lam)
         worst = float(np.max(np.abs(F)))
         if worst < tol:
-            return x, worst
+            return x
         try:
             step = np.linalg.solve(_jacobian(x, N, lam), F)
         except np.linalg.LinAlgError:
             step = F  # fixed-point fallback
-        x = x - damping * step
-    return None, None
+        x = x - step
+    return None
 
 
-def _defects_weighted(x, N, lam):
-    n = len(x)
-    sign = lam * (-1.0) ** N
-    out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        rhs = 0.0 + 0.0j
-        for k in range(n):
-            if k == j:
-                continue
-            d = x[j] - x[k]
-            rhs += 0.5 / d + sign * d ** (2 * N)
-        out[j] = x[j] - rhs
-    return out
-
-
-def _homotopy(x0, n, N, tol):
-    """March the interaction weight 0 -> 0.3+0.4i -> 1; the detour through
-    complex weights steers around real-axis folds where root families turn
-    complex (the weight-0 system is solved exactly by the scaled Hermite
-    zeros)."""
-    x = x0 + 1e-3j * np.arange(1, n + 1)
+def _homotopy(x0, N, tol):
+    """Carry x0, the roots at interaction weight 0 (the scaled Hermite zeros),
+    to weight 1 along lam = 0 -> 0.3+0.4i -> 1 in adaptive steps, each
+    corrected by Newton.  The detour through complex weights steers around
+    real-axis folds where root families turn complex."""
+    x = x0 + 1e-3j * np.arange(1, len(x0) + 1)
     lam = 0.0 + 0.0j
     for target in (0.3 + 0.4j, 1.0 + 0.0j):
         t, dt = 0.0, 0.25
         start = lam
         while t < 1.0 - 1e-12:
             trial = start + min(1.0, t + dt) * (target - start)
-            y, _ = _newton(x.copy(), N, trial, tol, 100, 1.0)
+            y = _newton(x, N, trial, tol)
             if y is None:
                 dt /= 2
                 if dt < 1e-7:
@@ -144,13 +126,14 @@ def _homotopy(x0, n, N, tol):
     return x
 
 
-def solve_bethe_roots(n: int, N: int, init=None, tol: float = 1e-12) -> BetheRoots:
-    """Damped-Newton solution of the root equations.
+def solve_bethe_roots(n: int, N: int, tol: float = 1e-12) -> BetheRoots:
+    """Roots of the n-root system at full interaction, by homotopy.
 
-    Default initialization: Hermite zeros of degree n scaled by 1/sqrt(2)
-    (the exact zero-interaction limit).  When the damped iteration wanders
-    (root families beyond n = 2 leave the real axis), a homotopy in the
-    interaction weight with a complex detour is used instead.
+    The Hermite zeros of degree n scaled by 1/sqrt(2) solve the system at
+    zero interaction; `_homotopy` carries them to full interaction.  The
+    reported residual is the max fixed-point defect there.  Raises
+    `NoConvergence` when the continuation stalls and `CollisionError` when
+    two roots meet on the way.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -158,18 +141,11 @@ def solve_bethe_roots(n: int, N: int, init=None, tol: float = 1e-12) -> BetheRoo
         raise DomainError("tol must be positive")
     if n == 1:
         return BetheRoots((0.0 + 0.0j,), N, 0.0)
-    if init is None:
-        x0 = np.asarray(_hermite_zeros(n) / math.sqrt(2.0), dtype=complex)
-    else:
-        x0 = np.asarray([complex(v) for v in init], dtype=complex)
-        if len(x0) != n:
-            raise DomainError("init must supply n starting points")
-    x, worst = _newton(x0.copy(), N, 1.0, tol, 200, 0.5)
-    if x is None:
-        x = _homotopy(x0, n, N, tol)
-        worst = float(np.max(np.abs(_defects(x, N))))
+    x0 = np.asarray(_hermite_zeros(n) / math.sqrt(2.0), dtype=complex)
+    x = _homotopy(x0, N, tol)
+    worst = float(np.max(np.abs(_defects(x, N))))
     if worst >= tol:
-        raise NoConvergence("root iteration exhausted its budget")
+        raise NoConvergence("roots miss tol at full interaction")
     return BetheRoots(tuple(complex(v) for v in x), N, worst)
 
 

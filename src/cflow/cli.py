@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Usage: ``cflow <subcommand> [--config FILE] [--key value ...] [--out PATH]
-[--seed N] [--svg PATH]``.  Flags override config-file values.  Every run
+[--svg PATH]``.  Flags override config-file values.  Every run
 writes its outputs plus a canonical config echo beside them, so a run can
 be reproduced byte-for-byte from the echo alone.
 
@@ -139,7 +139,7 @@ def _flow_rows_recursion(p: dict):
     for _ in range(steps):
         try:
             state = rgflow.tau_step_recursion(state, step=step)
-        except NoConvergence as exc:
+        except (NoConvergence, Overflow) as exc:
             rows.append((arc + step, state.tau + step,
                          complex(math.nan, math.nan),
                          complex(math.nan, math.nan), "diverged"))
@@ -359,7 +359,6 @@ def _parse_argv(argv):
 _USAGE = """usage: cflow <subcommand> [--config FILE] [--key value ...]
 subcommands: """ + ", ".join(SUBCOMMANDS) + """
 common flags: --out PATH   output file (echo written beside it)
-              --seed N     recorded in the echo for reproducibility
               --svg PATH   render the CSV output as an SVG plot
 """
 

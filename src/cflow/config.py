@@ -69,7 +69,7 @@ _SCHEMAS = {
 }
 
 # keys that must be non-negative when present
-_NONNEGATIVE = {"N", "n", "gamma", "delta", "n_max", "depth", "seed"}
+_NONNEGATIVE = {"N", "n", "gamma", "delta", "n_max", "depth"}
 # keys that must be strictly positive when present
 _POSITIVE = {"tol", "omega", "Lambda", "s_max", "n_points", "steps",
              "sites", "E0"}
@@ -87,7 +87,6 @@ class RunConfig:
     subcommand: str
     params: dict = field(default_factory=dict)
     out_path: str = ""
-    seed: int = 0
 
 
 def _convert(sub: str, key: str, raw: str):
@@ -171,25 +170,16 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None,
         raise ValidationError(f"unknown subcommand {sub!r}", key="subcommand")
 
     out_path = raw.pop("out", None) or _DEFAULT_OUT[sub]
-    seed_raw = raw.pop("seed", "0")
-    try:
-        seed = int(seed_raw)
-    except ValueError:
-        raise ValidationError(f"cannot parse seed {seed_raw!r}",
-                              key="seed") from None
-    if seed < 0:
-        raise ValidationError("seed must be non-negative", key="seed")
 
     params = {k: _convert(sub, k, v) for k, v in raw.items()}
     return RunConfig(subcommand=sub, params=dict(sorted(params.items())),
-                     out_path=out_path, seed=seed)
+                     out_path=out_path)
 
 
 def canonical_echo(config: RunConfig) -> str:
     """Deterministic text form of a config; parsing it reproduces the config."""
     lines = [f"subcommand = {config.subcommand}",
-             f"out = {config.out_path}",
-             f"seed = {config.seed}"]
+             f"out = {config.out_path}"]
     for key in sorted(config.params):
         val = config.params[key]
         if isinstance(val, tuple):

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import (BranchCollision, BranchCut, DivisionByZero,
-                     DomainError, ExceptionalPoint, NoConvergence, RangeError)
+                     DomainError, ExceptionalPoint, NoConvergence, Overflow,
+                     RangeError)
 from .integrate import solve_rk4
 
 
@@ -91,7 +92,12 @@ def _trajectory_from_samples(taus, samples):
 def continuity_root(g_prev: complex, gamma_n: complex) -> complex:
     """Root of g^2 - g_prev g + gamma^2 = 0 closest to g_prev."""
     disc = g_prev * g_prev - 4.0 * gamma_n * gamma_n
-    if abs(disc) <= 1e-14 * max(abs(g_prev) ** 2, abs(gamma_n) ** 2, 1e-300):
+    try:
+        scale = max(abs(g_prev) ** 2, abs(gamma_n) ** 2, 1e-300)
+        collided = abs(disc) <= 1e-14 * scale
+    except OverflowError:
+        raise Overflow("squared coupling overflows the float range") from None
+    if collided:
         raise BranchCollision("quadratic discriminant vanished (exceptional point)")
     r = cmath.sqrt(disc)
     cand = (0.5 * (g_prev + r), 0.5 * (g_prev - r))

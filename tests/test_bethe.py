@@ -1,8 +1,9 @@
 """Tests for the Bethe-ansatz machinery.
 
-Oracles: numpy polynomial roots for the reduced symmetric-pair cubic,
-central-difference ODE residuals for the auxiliary Bessel solutions, and
-closed forms for the scaling flows.
+Oracles: numpy polynomial roots for the reduced symmetric-pair cubic, a
+numpy-broadcast fixed-point defect for the root systems, central-difference
+ODE residuals for the auxiliary Bessel solutions, and closed forms for the
+scaling flows.
 """
 import cmath
 import math
@@ -13,6 +14,16 @@ import pytest
 from cflow import bethe
 from cflow.errors import (CollisionError, DomainError, PoleError,
                           SingularFlow)
+
+
+def root_defect(roots, N):
+    """x_j - sum_{k != j} [1/(2(x_j - x_k)) + (-1)^N (x_j - x_k)^{2N}]."""
+    x = np.asarray(roots, dtype=complex)
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, 1.0)
+    terms = 0.5 / d + (-1.0) ** N * d ** (2 * N)
+    np.fill_diagonal(terms, 0.0)
+    return x - terms.sum(axis=1)
 
 
 class TestSolveBetheRoots:
@@ -47,8 +58,7 @@ class TestSolveBetheRoots:
         for n, N in [(2, 1), (3, 1), (2, 2), (4, 1)]:
             out = bethe.solve_bethe_roots(n, N)
             assert out.residual < 1e-10
-            defects = bethe._defects(np.asarray(out.roots), N)
-            assert np.max(np.abs(defects)) < 1e-10
+            assert np.max(np.abs(root_defect(out.roots, N))) < 1e-10
 
     @pytest.mark.xfail(strict=True, reason="the even-power interaction term "
                        "breaks reflection antisymmetry; see the decisions "
@@ -59,17 +69,30 @@ class TestSolveBetheRoots:
             for r in out.roots:
                 assert min(abs(r + s) for s in out.roots) < 1e-9
 
-    def test_collision_of_initial_points_raises(self):
+    def test_colliding_roots_are_rejected(self):
         with pytest.raises(CollisionError):
-            bethe.solve_bethe_roots(2, 1, init=[0.1, 0.1 + 1e-12])
+            bethe.BetheRoots((0.1, 0.1 + 1e-12), 1, 0.0)
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):
             bethe.solve_bethe_roots(0, 1)
         with pytest.raises(DomainError):
             bethe.solve_bethe_roots(2, 1, tol=-1.0)
-        with pytest.raises(DomainError):
-            bethe.solve_bethe_roots(3, 1, init=[0.0, 1.0])
+
+    def test_three_roots_take_at_most_sixty_linear_solves(self, monkeypatch):
+        # the continuation from the Hermite zeros needs 32-38 solves; a
+        # direct Newton tried first at full interaction spends 200 more
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        out = bethe.solve_bethe_roots(3, 1)
+        assert out.residual < 1e-12
+        assert len(calls) <= 60
 
 
 class TestBetheWavefunction:

@@ -120,6 +120,18 @@ class TestFlowCommand:
             "cflow: diverged at tau* = (3+0j): "
             "coupling fixed point did not converge\n")
 
+    def test_tau_recursion_overflow_exit_2_one_line(self, in_tmp, capsys):
+        code = main(["flow", "--variant", "tau-recursion",
+                     "--gamma0", "1e200", "--out", "rec.csv"])
+        assert code == 2
+        _, rows = _read_csv(in_tmp / "rec.csv")
+        assert len(rows) == 2
+        assert float(rows[0][3]) == 1.0 and float(rows[0][5]) == 1e200
+        assert rows[1][-1] == "diverged" and float(rows[1][1]) == 1.0
+        assert capsys.readouterr().err == (
+            "cflow: diverged at tau* = (1+0j): "
+            "squared coupling overflows the float range\n")
+
     def test_cf_rg_runs(self, in_tmp):
         code = main(["flow", "--variant", "cf-rg", "--ginv0", "1.0",
                      "--sites", "5", "--tau_max", "2.0", "--depth", "2",

@@ -13,18 +13,16 @@ class TestParseConfig:
         assert cfg.params == {"N": 2, "gamma0": 0.5, "ginv0": 1.0,
                               "variant": "n-power"}
         assert cfg.out_path == "trajectory.csv"
-        assert cfg.seed == 0
 
     def test_file_values_parsed_with_comments(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("# a flow run\nvariant = lr   # variant choice\n"
-                     "N = 3\nnu = 0.25\n\nout = x.csv\nseed = 7\n")
+                     "N = 3\nnu = 0.25\n\nout = x.csv\n")
         cfg = parse_config(str(f), None, "flow")
         assert cfg.params["variant"] == "lr"
         assert cfg.params["N"] == 3
         assert cfg.params["nu"] == 0.25
         assert cfg.out_path == "x.csv"
-        assert cfg.seed == 7
 
     def test_flags_override_file(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -38,9 +36,11 @@ class TestParseConfig:
         assert cfg.params["N_list"] == (2.0, 3.0, 4.5)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError) as exc:
-            parse_config(None, {"bogus": "1"}, "flow")
-        assert exc.value.key == "bogus"
+        # nothing in cflow is random, so there is no seed key
+        for key in ("bogus", "seed"):
+            with pytest.raises(ValidationError) as exc:
+                parse_config(None, {key: "1"}, "flow")
+            assert exc.value.key == key
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValidationError) as exc:
@@ -86,8 +86,8 @@ class TestParseConfig:
 class TestCanonicalEcho:
     def test_round_trip(self, tmp_path):
         cfg = parse_config(None, {"variant": "lr", "N": "3", "nu": "0.25",
-                                  "gamma0": "0.1", "out": "a.csv",
-                                  "seed": "4"}, "flow")
+                                  "gamma0": "0.1", "out": "a.csv"},
+                           "flow")
         echo = canonical_echo(cfg)
         f = tmp_path / "echo.cfg"
         f.write_text(echo)
@@ -109,7 +109,7 @@ class TestCanonicalEcho:
         assert canonical_echo(cfg1) == canonical_echo(cfg2)
         lines = canonical_echo(cfg1).splitlines()
         assert lines[0] == "subcommand = flow"
-        keys = [ln.split(" = ")[0] for ln in lines[3:]]
+        keys = [ln.split(" = ")[0] for ln in lines[2:]]
         assert keys == sorted(keys)
 
     def test_echo_path_sits_beside_output(self):
@@ -117,6 +117,6 @@ class TestCanonicalEcho:
         assert echo_path("out.json") == "out.config"
 
     def test_config_is_frozen(self):
-        cfg = RunConfig("flow", {}, "x.csv", 0)
+        cfg = RunConfig("flow", {}, "x.csv")
         with pytest.raises(Exception):
-            cfg.seed = 1
+            cfg.out_path = "y.csv"
