@@ -278,7 +278,7 @@ def gp_scaling_flow(q2: float, s_contour, chi0: complex, xi0: complex) -> Trajec
         return s / d
 
     def f(s, y):
-        return np.asarray(coeff(s) * y, dtype=complex)
+        return coeff(s) * y
 
     chis = solve_rk4(f, pts, complex(chi0))
     states = [FlowState(s, chi, complex(xi0) * cmath.exp(s)) for s, chi in zip(pts, chis)]

@@ -226,13 +226,13 @@ def unitary_phase_ode_solve(c1_mod2: float, x_grid, theta0=0.0, dtheta0=0.0):
     Returns [(x, theta)] samples at the grid points; default initial
     conditions theta = theta' = 0 at the first grid point.
     """
-    xs = list(x_grid)
+    xs = [float(x) for x in x_grid]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise DomainError("x_grid must be strictly increasing")
 
     def f(x, y):
         theta, dtheta = y
-        return np.array([dtheta, -1j * x * dtheta - (c1_mod2 - x * x)], dtype=complex)
+        return (dtheta, -1j * x * dtheta - (c1_mod2 - x * x))
 
     ys = solve_rk4(f, xs, [theta0, dtheta0])
     return [(x, complex(y[0])) for x, y in zip(xs, ys)]

@@ -153,7 +153,7 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
             raise DomainError("no real t matches this invariant at the first gamma")
 
         def f(g, y):
-            return np.asarray(-3.0 * y ** 1.5 / math.sqrt(g), dtype=complex)
+            return -3.0 * y ** 1.5 / math.sqrt(g)
 
         for g, t in zip(gammas, solve_rk4(f, gammas, root ** -2.0)):
             t = t.real
@@ -189,7 +189,7 @@ def n_power_flow(init: FlowState, N: int, contour) -> Trajectory:
 
     def rhs(tau, y):
         g, gam = y
-        return np.array([g * g - N * N * gam ** (2 * N), gam * g], dtype=complex)
+        return (g * g - N * N * gam ** (2 * N), gam * g)
 
     taus = [complex(t) for t in contour]
     if len(taus) < 2:
@@ -213,7 +213,7 @@ def lr_flow(init: FlowState, N: int, nu: float, contour) -> Trajectory:
         g, gam = y
         dg = g * g - N * N * gam ** (2 * N) * s ** (2 * N)
         dgam = sign * gam * s * s * g / N
-        return np.array([dg, dgam], dtype=complex)
+        return (dg, dgam)
 
     taus = [complex(t) for t in contour]
     if len(taus) < 2:

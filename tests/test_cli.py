@@ -92,6 +92,23 @@ class TestFlowCommand:
         assert rows[-1][-1] == "diverged"
         assert math.isfinite(float(rows[-1][1]))
 
+    def test_pole_on_a_node_stops_before_it(self, in_tmp, capsys):
+        # g_inv = 1/(1 - tau) has its pole on the node tau = 1
+        code = main(["flow", "--variant", "n-power", "--N", "2",
+                     "--gamma0", "0", "--ginv0", "1", "--s_max", "2",
+                     "--n_points", "41", "--out", "p.csv"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("cflow: diverged at tau* = ")
+        _, rows = _read_csv(in_tmp / "p.csv")
+        assert rows[-1][-1] == "diverged"
+        tau_star = complex(float(rows[-1][1]), float(rows[-1][2]))
+        assert abs(tau_star - 1.0) < 1e-9
+        samples = rows[:-1]
+        assert [float(r[1]) for r in samples] == [k / 20 for k in range(20)]
+        for r in samples:
+            assert float(r[1]) < tau_star.real
+            assert abs(float(r[3]) - 1.0 / (1.0 - float(r[1]))) < 1e-8 * float(r[3])
+
     def test_one_loop_invariant_constant_along_flow(self, in_tmp):
         code = main(["flow", "--variant", "one-loop-v2",
                      "--gamma_start", "0.05", "--gamma_end", "0.3",
@@ -327,6 +344,26 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 assert not loaded, loaded
 from cflow.oscillator import OscParams, frobenius_coeffs
 assert len(frobenius_coeffs(OscParams(1, 0.5, 1.0)).coeffs) == 21
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_integrator_runs_without_numpy(tmp_path):
+    # the path integrator and its tuple state need no numpy (the cold
+    # flow path depends on it)
+    script = """
+import cmath, sys
+from cflow.integrate import solve_rk4
+nodes = [0.0, 0.5, 0.5 + 0.5j, -0.25 + 0.75j]
+ys = solve_rk4(lambda t, y: (y[1], -y[0]), nodes, (1.0, 0.0))
+assert all(abs(y[0] - cmath.cos(t)) < 1e-9 for t, y in zip(nodes, ys))
+loaded = sorted(m for m in sys.modules if m.startswith("numpy"))
+assert not loaded, loaded
 print("ok")
 """
     env = dict(os.environ, PYTHONPATH=_SRC)
