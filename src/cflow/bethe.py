@@ -281,6 +281,6 @@ def gp_scaling_flow(q2: float, s_contour, chi0: complex, xi0: complex) -> Trajec
         return coeff(s) * y
 
     chis = solve_rk4(f, pts, complex(chi0))
-    states = [FlowState(s, chi, complex(xi0) * cmath.exp(s)) for s, chi in zip(pts, chis)]
-    angle = cmath.phase(pts[-1] - pts[0]) if pts[-1] != pts[0] else 0.0
-    return Trajectory(tuple(states), angle, abs(pts[1] - pts[0]))
+    xi0 = complex(xi0)
+    return Trajectory(tuple(FlowState(s, chi, xi0 * cmath.exp(s))
+                            for s, chi in zip(pts, chis)))

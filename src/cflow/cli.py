@@ -270,24 +270,22 @@ def _run_phase(cfg: RunConfig) -> int:
     nu = float(p.get("nu", 1.0))
     n_max = int(p.get("n_max", 256))
 
-    singles = [analysis.phase_diagram_scan([N], gamma, E0, k, nu, n_max)[0]
-               for N in N_list]
+    points = analysis.phase_diagram_scan(N_list, gamma, E0, k, nu, n_max)
 
-    # joint power-law fit across the non-divergent integer powers, matching
-    # the batch scan; per-point calls above only supply the scales
-    int_pts = [(pt.N, pt.scale) for pt in singles
+    # the scan's joint power-law fit supplies the exponent; refit its points
+    # only for the r^2 it does not report
+    exponent = next((pt.exponent_fit for pt in points
+                     if pt.exponent_fit is not None), None)
+    int_pts = [(pt.N, pt.scale) for pt in points
                if not pt.divergent and pt.scale > 0
                and abs(pt.N - round(pt.N)) < 1e-9]
-    exponent = None
     r2 = None
-    if len(int_pts) >= 3:
-        exponent, _, r2 = analysis.power_law_fit([q[0] for q in int_pts],
-                                                 [q[1] for q in int_pts])
+    if exponent is not None:
+        _, _, r2 = analysis.power_law_fit([q[0] for q in int_pts],
+                                          [q[1] for q in int_pts])
     lines = ["N,scale,exponent_fit,divergent"]
-    for pt in singles:
-        is_int = abs(pt.N - round(pt.N)) < 1e-9
-        efit = (_fmt(exponent) if exponent is not None and is_int
-                and not pt.divergent else "")
+    for pt in points:
+        efit = _fmt(pt.exponent_fit) if pt.exponent_fit is not None else ""
         lines.append(f"{_fmt(pt.N)},{_fmt(pt.scale)},{efit},"
                      f"{int(pt.divergent)}")
     _write_text(cfg.out_path, "\n".join(lines) + "\n")

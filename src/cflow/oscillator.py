@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,25 +43,8 @@ class OscParams:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    coeffs: tuple
+    coeffs: tuple           # c_0 .. c_{n_max}
     theta_const: complex
-    n_max: int
-    params: OscParams = None
-
-    def __post_init__(self):
-        assert len(self.coeffs) == self.n_max + 1
-
-
-@dataclass(frozen=True)
-class PhaseSolution:
-    """Sampled phase function with the algebraic constants of its closed form."""
-
-    samples: tuple          # ((t, theta), ...)
-    b: float
-    c: float
-    d: float
-    a: float
-    k: float
     params: OscParams = None
 
 
@@ -105,7 +88,7 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
             rhs = (_c(coeffs, n - 2) * e_m2 - _c(coeffs, n - 2) * e_m42
                    + pot * coeffs[n] + E * coeffs[n])
             coeffs[n + 2] = (rhs / denom - coeffs[n] * n * e_alg / denom)
-        return SeriesSolution(tuple(coeffs), th, n_max, params)
+        return SeriesSolution(tuple(coeffs), th, params)
 
     n_unknown = n_max - 1            # c_2 .. c_{n_max}
     lower = 4 * N + 4
@@ -145,7 +128,7 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("banded solve produced non-finite coefficients")
-    return SeriesSolution((c0, c1) + tuple(sol), th, n_max, params)
+    return SeriesSolution((c0, c1) + tuple(sol), th, params)
 
 
 def convergence_ratio(params: OscParams, theta_const: complex, n: int, bigN: int) -> float:
@@ -190,23 +173,24 @@ def theta_phase(params: OscParams, t: complex) -> complex:
     return term1 + term2 + term3 + term4
 
 
-def assemble_wavefunction(x: complex, sol: SeriesSolution, phase: PhaseSolution = None) -> complex:
+def assemble_wavefunction(x: complex, sol: SeriesSolution,
+                          phase_params: OscParams = None) -> complex:
     """psi(x) = e^{-x^{2N+2}/((2N+1)(2N+2))} sum_n c_n x^n e^{i n theta(x)}.
 
-    The phase enters through the closed-form decomposition (incomplete-gamma
-    factors plus algebraic-in-t factors, which sum to theta(t)); passing
-    phase=None uses theta = 0.  Emits TruncationWarning when the last
-    retained term exceeds 1e-8 of the partial sum.
+    theta is the closed-form `theta_phase(phase_params, t)` at
+    t = x^{2N+2}/((2N+1)(2N+2)); phase_params=None uses theta = 0.  Emits
+    TruncationWarning when the last retained term exceeds 1e-8 of the
+    partial sum.
     """
     params = sol.params
     x = complex(x)
     N = params.N
     a = (2.0 * N + 1) * (2.0 * N + 2)
-    if phase is None:
+    if phase_params is None:
         theta = 0.0 + 0.0j
     else:
         t = sf.cpow(x, 2 * N + 2) / a if x != 0 else 0.0
-        theta = theta_phase(phase.params, t) if t != 0 else 0.0 + 0.0j
+        theta = theta_phase(phase_params, t) if t != 0 else 0.0 + 0.0j
     pref = cmath.exp(-sf.cpow(x, 2 * N + 2) / a) if x != 0 else 1.0
     total = 0.0 + 0.0j
     last = 0.0 + 0.0j
@@ -220,11 +204,11 @@ def assemble_wavefunction(x: complex, sol: SeriesSolution, phase: PhaseSolution 
     return pref * total
 
 
-def unitary_phase_ode_solve(c1_mod2: float, x_grid, theta0=0.0, dtheta0=0.0):
+def unitary_phase_ode_solve(c1_mod2: float, x_grid):
     """Integrate theta'' + i x theta' + (|c1|^2 - x^2) = 0 over the grid.
 
-    Returns [(x, theta)] samples at the grid points; default initial
-    conditions theta = theta' = 0 at the first grid point.
+    Returns [(x, theta)] samples at the grid points, starting from
+    theta = theta' = 0 at the first grid point.
     """
     xs = [float(x) for x in x_grid]
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -234,7 +218,7 @@ def unitary_phase_ode_solve(c1_mod2: float, x_grid, theta0=0.0, dtheta0=0.0):
         theta, dtheta = y
         return (dtheta, -1j * x * dtheta - (c1_mod2 - x * x))
 
-    ys = solve_rk4(f, xs, [theta0, dtheta0])
+    ys = solve_rk4(f, xs, [0.0, 0.0])
     return [(x, complex(y[0])) for x, y in zip(xs, ys)]
 
 

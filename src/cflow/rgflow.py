@@ -36,15 +36,13 @@ class FlowState:
 
     def __post_init__(self):
         for v in (self.tau, self.g_inv, self.gamma):
-            if not (math.isfinite(complex(v).real) and math.isfinite(complex(v).imag)):
+            if not cmath.isfinite(v):
                 raise DomainError("flow state fields must be finite")
 
 
 @dataclass(frozen=True)
 class Trajectory:
     states: tuple          # ordered FlowState samples
-    contour_angle: float   # radians, direction of the tau contour
-    step: float            # representative |d tau| between samples
 
     def __post_init__(self):
         if len(self.states) == 0:
@@ -79,10 +77,7 @@ def ray_contour(angle: float, s_max: float, n_points: int):
 
 
 def _trajectory_from_samples(taus, samples):
-    states = tuple(FlowState(t, complex(v[0]), complex(v[1]))
-                   for t, v in zip(taus, samples))
-    angle = cmath.phase(taus[-1] - taus[0]) if taus[-1] != taus[0] else 0.0
-    return Trajectory(states, angle, abs(taus[1] - taus[0]))
+    return Trajectory(tuple(FlowState(t, g, gam) for t, (g, gam) in zip(taus, samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +99,12 @@ def continuity_root(g_prev: complex, gamma_n: complex) -> complex:
     return min(cand, key=lambda g: abs(g - g_prev))
 
 
-def tau_step_recursion(prev: FlowState, step: float = 1.0,
-                       tol: float = 1e-13, max_iter: int = 500) -> FlowState:
+# damped fixed point of tau_step_recursion: relative tolerance, iteration cap
+_RECURSION_TOL = 1e-13
+_RECURSION_MAX_ITER = 500
+
+
+def tau_step_recursion(prev: FlowState, step: float = 1.0) -> FlowState:
     """One implicit step of the coupled recursion.
 
     g_n = g_{n-1} - gamma_n^2/g_n is solved as a quadratic with the branch
@@ -119,10 +118,10 @@ def tau_step_recursion(prev: FlowState, step: float = 1.0,
         return FlowState(prev.tau + step, g_prev, 0.0)
     gam = gam_prev
     g = g_prev
-    for _ in range(max_iter):
+    for _ in range(_RECURSION_MAX_ITER):
         g = continuity_root(g_prev, gam)
         gam_next = gam_prev + gam * gam * gam_prev / g
-        if abs(gam_next - gam) <= tol * max(abs(gam_next), 1e-300):
+        if abs(gam_next - gam) <= _RECURSION_TOL * max(abs(gam_next), 1e-300):
             return FlowState(prev.tau + step, continuity_root(g_prev, gam_next), gam_next)
         gam = gam + 0.5 * (gam_next - gam)
     raise NoConvergence("coupling fixed point did not converge")
@@ -170,8 +169,7 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
             invariants.append((g_inv / g) ** 2 - math.log(1.0 / g))
     else:
         raise DomainError(f"unknown variant {variant!r}")
-    traj = Trajectory(tuple(states), 0.0, gammas[1] - gammas[0] if len(gammas) > 1 else 0.0)
-    return traj, invariants
+    return Trajectory(tuple(states)), invariants
 
 
 # ---------------------------------------------------------------------------

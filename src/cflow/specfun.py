@@ -3,17 +3,20 @@
 Everything here is self-contained (series, continued fractions and the
 standard linear transformations); the test suite cross-checks each function
 against independent quadrature / high-precision oracles.
+
+Every series and continued fraction stops by one fixed rule: once a term
+(or a Lentz correction) is at most ``REL_TOL`` of the running sum, and it
+raises ``NonConvergence`` after ``MAX_TERMS`` terms.  ``erfi`` alone sums
+its always-convergent series to 1e-16.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import BranchCut, DomainError, NonConvergence, Overflow, PoleError
 
 __all__ = [
-    "PrecisionPolicy",
     "clog",
     "cpow",
     "gamma",
@@ -42,21 +45,9 @@ _LANCZOS = (
 )
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Convergence knobs shared by all special-function evaluations."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_POLICY = PrecisionPolicy()
+# Stopping rule of every series and continued fraction below.
+REL_TOL = 1e-12
+MAX_TERMS = 10000
 
 
 def clog(w: complex) -> complex:
@@ -102,26 +93,26 @@ def gamma(s: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * cpow(t, z + 0.5) * cmath.exp(-t) * x
 
 
-def _lower_gamma_series(s: complex, z: complex, policy: PrecisionPolicy) -> complex:
+def _lower_gamma_series(s: complex, z: complex) -> complex:
     """Kummer series for the lower incomplete gamma, z**s e**-z sum z**k / (s)_{k+1}."""
     term = 1.0 / s
     total = term
-    for k in range(1, policy.max_terms):
+    for k in range(1, MAX_TERMS):
         term *= z / (s + k)
         total += term
-        if abs(term) <= policy.rel_tol * abs(total):
+        if abs(term) <= REL_TOL * abs(total):
             return cpow(z, s) * cmath.exp(-z) * total
     raise NonConvergence("lower incomplete gamma series did not converge")
 
 
-def _upper_gamma_cf(s: complex, z: complex, policy: PrecisionPolicy) -> complex:
+def _upper_gamma_cf(s: complex, z: complex) -> complex:
     """Legendre continued fraction for Gamma(s, z), Re z > 0 (modified Lentz)."""
     tiny = 1e-300
     b = z + 1.0 - s
     c = 1.0 / tiny
     d = 1.0 / (b if b != 0 else tiny)
     h = d
-    for i in range(1, policy.max_terms):
+    for i in range(1, MAX_TERMS):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -133,21 +124,19 @@ def _upper_gamma_cf(s: complex, z: complex, policy: PrecisionPolicy) -> complex:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < policy.rel_tol:
+        if abs(delta - 1.0) < REL_TOL:
             return cpow(z, s) * cmath.exp(-z) * h
     raise NonConvergence("incomplete gamma continued fraction did not converge")
 
 
-def upper_incomplete_gamma(
-    s: complex, z: complex, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> complex:
+def upper_incomplete_gamma(s: complex, z: complex) -> complex:
     """Upper incomplete gamma Gamma(s, z) on the principal branch.
 
     Gamma(s, 0) reduces to the complete gamma.  For s at or near a negative
     integer with z != 0 the recurrence
     Gamma(s, z) = (Gamma(s+1, z) - z**s e**-z) / s lifts s out of the
     pole of the complete gamma used by the series path, at most
-    ``policy.max_terms`` unit steps; beyond that it raises NonConvergence.
+    ``MAX_TERMS`` unit steps; beyond that it raises NonConvergence.
     """
     s = complex(s)
     z = complex(z)
@@ -164,36 +153,35 @@ def upper_incomplete_gamma(
 
     lifted = []
     while near_integer(s) and round(s.real) < 0 and not cf_applies(s):
-        if len(lifted) == policy.max_terms:
+        if len(lifted) == MAX_TERMS:
             raise NonConvergence(f"Gamma(s, z) recurrence did not reach s = 0 "
-                                 f"within {policy.max_terms} steps")
+                                 f"within {MAX_TERMS} steps")
         lifted.append(s)
         s = s + 1.0
     if cf_applies(s):
-        total = _upper_gamma_cf(s, z, policy)
+        total = _upper_gamma_cf(s, z)
     elif near_integer(s) and round(s.real) == 0:
         # Gamma(0, z) = E_1(z) = -euler_gamma - Log z - sum (-z)^k / (k k!).
         total = -_EULER_GAMMA - clog(z)
         term = 1.0 + 0.0j
-        for k in range(1, policy.max_terms):
+        for k in range(1, MAX_TERMS):
             term *= -z / k
             total -= term / k
-            if abs(term) <= policy.rel_tol * max(abs(total), 1e-300):
+            if abs(term) <= REL_TOL * max(abs(total), 1e-300):
                 break
         else:
             raise NonConvergence("exponential-integral series did not converge")
     else:
-        total = gamma(s) - _lower_gamma_series(s, z, policy)
+        total = gamma(s) - _lower_gamma_series(s, z)
     for sk in reversed(lifted):
         total = (total - cpow(z, sk) * cmath.exp(-z)) / sk
     return total
 
 
-def _pfq_series(numer, denom, z, policy, term_limit=None):
-    limit = term_limit if term_limit is not None else policy.max_terms
+def _pfq_series(numer, denom, z, term_limit=MAX_TERMS):
     term = 1.0 + 0.0j
     total = term
-    for k in range(limit):
+    for k in range(term_limit):
         ratio = z / (k + 1.0)
         for a in numer:
             ratio *= a + k
@@ -203,13 +191,13 @@ def _pfq_series(numer, denom, z, policy, term_limit=None):
         total += term
         if term == 0:
             return total
-        if abs(term) <= policy.rel_tol * abs(total) and k > 2:
+        if abs(term) <= REL_TOL * abs(total) and k > 2:
             return total
     raise NonConvergence("pFq series did not converge within max_terms")
 
 
-def _hyp2f1_series(a, b, c, z, policy):
-    return _pfq_series((a, b), (c,), z, policy)
+def _hyp2f1_series(a, b, c, z):
+    return _pfq_series((a, b), (c,), z)
 
 
 def _near_integer(x: complex, tol: float = 1e-9):
@@ -220,7 +208,7 @@ def _near_integer(x: complex, tol: float = 1e-9):
     return None
 
 
-def hyp2f1(a, b, c, z, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def hyp2f1(a, b, c, z) -> complex:
     """Gauss hypergeometric 2F1 with the standard linear transformations.
 
     Raises BranchCut if z lies exactly on the cut [1, inf).
@@ -239,31 +227,20 @@ def hyp2f1(a, b, c, z, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     if (na is not None and na <= 0) or (nb is not None and nb <= 0):
         # Terminating polynomial case.
         n = min(x for x in (na, nb) if x is not None and x <= 0)
-        return _pfq_series((a, b), (c,), z, policy, term_limit=-n + 1)
+        return _pfq_series((a, b), (c,), z, term_limit=-n + 1)
     if z == 0:
         return 1.0 + 0.0j
     if z.imag == 0 and z.real >= 1.0:
         raise BranchCut(f"2F1 argument {z} lies on the cut [1, inf)")
     if abs(z) < 0.9:
-        return _hyp2f1_series(a, b, c, z, policy)
+        return _hyp2f1_series(a, b, c, z)
     # Pfaff transformation.
     w = z / (z - 1.0)
     if abs(w) < 0.9:
-        return cpow(1.0 - z, -a) * _hyp2f1_series(a, c - b, c, w, policy)
+        return cpow(1.0 - z, -a) * _hyp2f1_series(a, c - b, c, w)
     # 1/z transformation (needs a - b non-integer).
-    if abs(z) > 1.0 and _near_integer(a - b) is None:
-        w = 1.0 / z
-        t1 = (
-            gamma(c) * gamma(b - a) / (gamma(b) * gamma(c - a))
-            * cpow(-z, -a)
-            * _hyp2f1_series(a, 1.0 - c + a, 1.0 - b + a, w, policy)
-        )
-        t2 = (
-            gamma(c) * gamma(a - b) / (gamma(a) * gamma(c - b))
-            * cpow(-z, -b)
-            * _hyp2f1_series(b, 1.0 - c + b, 1.0 - a + b, w, policy)
-        )
-        return t1 + t2
+    if _near_integer(a - b) is None and abs(1.0 / z) < 0.95:
+        return _hyp2f1_inv_z(a, b, c, z)
     # 1/(1-z) transformation (needs a - b non-integer).
     if _near_integer(a - b) is None:
         w = 1.0 / (1.0 - z)
@@ -271,12 +248,12 @@ def hyp2f1(a, b, c, z, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
             t1 = (
                 gamma(c) * gamma(b - a) / (gamma(b) * gamma(c - a))
                 * cpow(1.0 - z, -a)
-                * _hyp2f1_series(a, c - b, a - b + 1.0, w, policy)
+                * _hyp2f1_series(a, c - b, a - b + 1.0, w)
             )
             t2 = (
                 gamma(c) * gamma(a - b) / (gamma(a) * gamma(c - b))
                 * cpow(1.0 - z, -b)
-                * _hyp2f1_series(b, c - a, b - a + 1.0, w, policy)
+                * _hyp2f1_series(b, c - a, b - a + 1.0, w)
             )
             return t1 + t2
     # 1-z transformation (needs c - a - b non-integer).
@@ -285,25 +262,49 @@ def hyp2f1(a, b, c, z, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
         if abs(w) < 0.95:
             t1 = (
                 gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
-                * _hyp2f1_series(a, b, a + b - c + 1.0, w, policy)
+                * _hyp2f1_series(a, b, a + b - c + 1.0, w)
             )
             t2 = (
                 gamma(c) * gamma(a + b - c) / (gamma(a) * gamma(b))
                 * cpow(w, c - a - b)
-                * _hyp2f1_series(c - a, c - b, c - a - b + 1.0, w, policy)
+                * _hyp2f1_series(c - a, c - b, c - a - b + 1.0, w)
             )
             return t1 + t2
-    # Slowly converging region near |z| = 1: fall back to the better of the
-    # direct and Pfaff series with the full term budget.
+    # Slowly converging region near |z| = 1: fall back to whichever of the
+    # direct, Pfaff and 1/z series has the smallest |w| < 1, with the full
+    # term budget.  |1/z| is taken as 1/|z|, so |z| = 1 never qualifies.
     w = z / (z - 1.0)
-    if abs(w) < abs(z):
-        return cpow(1.0 - z, -a) * _hyp2f1_series(a, c - b, c, w, policy)
-    if abs(z) < 1.0:
-        return _hyp2f1_series(a, b, c, z, policy)
-    raise NonConvergence(f"no usable 2F1 transformation for z = {z}")
+    radius, series = abs(z), "direct"
+    if abs(w) < radius:
+        radius, series = abs(w), "pfaff"
+    if _near_integer(a - b) is None and 1.0 / abs(z) < radius:
+        radius, series = 1.0 / abs(z), "inv_z"
+    if radius >= 1.0:
+        raise NonConvergence(f"no usable 2F1 transformation for z = {z}")
+    if series == "pfaff":
+        return cpow(1.0 - z, -a) * _hyp2f1_series(a, c - b, c, w)
+    if series == "inv_z":
+        return _hyp2f1_inv_z(a, b, c, z)
+    return _hyp2f1_series(a, b, c, z)
 
 
-def pfq(numer, denom, z, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def _hyp2f1_inv_z(a, b, c, z):
+    """2F1 through the 1/z transformation; needs a - b non-integer."""
+    w = 1.0 / z
+    t1 = (
+        gamma(c) * gamma(b - a) / (gamma(b) * gamma(c - a))
+        * cpow(-z, -a)
+        * _hyp2f1_series(a, 1.0 - c + a, 1.0 - b + a, w)
+    )
+    t2 = (
+        gamma(c) * gamma(a - b) / (gamma(a) * gamma(c - b))
+        * cpow(-z, -b)
+        * _hyp2f1_series(b, 1.0 - c + b, 1.0 - a + b, w)
+    )
+    return t1 + t2
+
+
+def pfq(numer, denom, z) -> complex:
     """Generalized hypergeometric pFq by truncated series.
 
     2F1 arguments with |z| >= 0.9 are routed through the linear
@@ -317,11 +318,11 @@ def pfq(numer, denom, z, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
             raise PoleError(f"pFq denominator parameter {b} is a non-positive integer")
     if len(numer) == 2 and len(denom) == 1:
         if abs(z) >= 0.9:
-            return hyp2f1(numer[0], numer[1], denom[0], z, policy)
-        return _hyp2f1_series(numer[0], numer[1], denom[0], z, policy)
+            return hyp2f1(numer[0], numer[1], denom[0], z)
+        return _hyp2f1_series(numer[0], numer[1], denom[0], z)
     if z == 0:
         return 1.0 + 0.0j
-    total = _pfq_series(numer, denom, z, policy)
+    total = _pfq_series(numer, denom, z)
     if not cmath.isfinite(total):
         raise Overflow(f"pFq sum is not finite at z = {z}")
     return total
@@ -332,15 +333,15 @@ def pfq(numer, denom, z, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_j_series(nu: float, z: complex, policy: PrecisionPolicy) -> complex:
-    return _bessel_ji_series(nu, z, policy, sign=-1.0)
+def _bessel_j_series(nu: float, z: complex) -> complex:
+    return _bessel_ji_series(nu, z, sign=-1.0)
 
 
-def _bessel_i_series(nu: float, z: complex, policy: PrecisionPolicy) -> complex:
-    return _bessel_ji_series(nu, z, policy, sign=1.0)
+def _bessel_i_series(nu: float, z: complex) -> complex:
+    return _bessel_ji_series(nu, z, sign=1.0)
 
 
-def _bessel_ji_series(nu: float, z: complex, policy: PrecisionPolicy, sign: float) -> complex:
+def _bessel_ji_series(nu: float, z: complex, sign: float) -> complex:
     z = complex(z)
     if z == 0:
         if nu == 0:
@@ -358,17 +359,17 @@ def _bessel_ji_series(nu: float, z: complex, policy: PrecisionPolicy, sign: floa
         n = -round(nu)
         term = cpow(z / 2.0, nu) * cpow(sign * q, n) / (math.gamma(n + 1) * gamma(nu + n + 1.0))
         total = term
-        for k in range(n + 1, policy.max_terms):
+        for k in range(n + 1, MAX_TERMS):
             term *= sign * q / (k * (nu + k))
             total += term
-            if abs(term) <= policy.rel_tol * abs(total):
+            if abs(term) <= REL_TOL * abs(total):
                 return total
         raise NonConvergence("Bessel series did not converge")
     total = term
-    for k in range(1, policy.max_terms):
+    for k in range(1, MAX_TERMS):
         term *= sign * q / (k * (nu + k))
         total += term
-        if abs(term) <= policy.rel_tol * abs(total):
+        if abs(term) <= REL_TOL * abs(total):
             return total
     raise NonConvergence("Bessel series did not converge")
 
@@ -378,44 +379,44 @@ def _psi_int(m: int) -> float:
     return -_EULER_GAMMA + sum(1.0 / j for j in range(1, m))
 
 
-def _bessel_y_int(n: int, z: complex, policy: PrecisionPolicy) -> complex:
+def _bessel_y_int(n: int, z: complex) -> complex:
     if n < 0:
-        return (-1.0) ** (-n) * _bessel_y_int(-n, z, policy)
+        return (-1.0) ** (-n) * _bessel_y_int(-n, z)
     half = z / 2.0
-    jn = _bessel_j_series(float(n), z, policy)
+    jn = _bessel_j_series(float(n), z)
     total = (2.0 / math.pi) * clog(half) * jn
     for k in range(n):
         total -= (math.gamma(n - k) / math.gamma(k + 1)) / math.pi * cpow(half, 2 * k - n)
     q = -half * half
     term = cpow(half, n) / math.gamma(n + 1)
-    for k in range(policy.max_terms):
+    for k in range(MAX_TERMS):
         total -= (_psi_int(k + 1) + _psi_int(n + k + 1)) / math.pi * term
         nxt = term * q / ((k + 1.0) * (n + k + 1.0))
-        if abs(nxt) <= policy.rel_tol * max(abs(total), 1e-300):
+        if abs(nxt) <= REL_TOL * max(abs(total), 1e-300):
             return total
         term = nxt
     raise NonConvergence("integer-order Y series did not converge")
 
 
-def _bessel_k_int(n: int, z: complex, policy: PrecisionPolicy) -> complex:
+def _bessel_k_int(n: int, z: complex) -> complex:
     n = abs(n)
     half = z / 2.0
-    inz = _bessel_i_series(float(n), z, policy)
+    inz = _bessel_i_series(float(n), z)
     total = (-1.0) ** (n + 1) * clog(half) * inz
     for k in range(n):
         total += 0.5 * (-1.0) ** k * (math.gamma(n - k) / math.gamma(k + 1)) * cpow(half, 2 * k - n)
     q = half * half
     term = cpow(half, n) / math.gamma(n + 1)
-    for k in range(policy.max_terms):
+    for k in range(MAX_TERMS):
         total += (-1.0) ** n * 0.5 * (_psi_int(k + 1) + _psi_int(n + k + 1)) * term
         nxt = term * q / ((k + 1.0) * (n + k + 1.0))
-        if abs(nxt) <= policy.rel_tol * max(abs(total), 1e-300):
+        if abs(nxt) <= REL_TOL * max(abs(total), 1e-300):
             return total
         term = nxt
     raise NonConvergence("integer-order K series did not converge")
 
 
-def bessel(kind: str, nu: float, z: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def bessel(kind: str, nu: float, z: complex) -> complex:
     """Bessel function of the given kind (J, Y, I or K), principal branch."""
     kind = kind.upper()
     if kind not in ("J", "Y", "I", "K"):
@@ -427,24 +428,24 @@ def bessel(kind: str, nu: float, z: complex, policy: PrecisionPolicy = DEFAULT_P
         raise PoleError(f"Bessel {kind} is singular at z = 0")
     nint = _near_integer(nu, tol=1e-8)
     if kind == "J":
-        return _bessel_j_series(nu, z, policy)
+        return _bessel_j_series(nu, z)
     if kind == "I":
-        return _bessel_i_series(nu, z, policy)
+        return _bessel_i_series(nu, z)
     if kind == "Y":
         if nint is not None:
-            return _bessel_y_int(nint, z, policy)
+            return _bessel_y_int(nint, z)
         s = math.sin(math.pi * nu)
-        return (_bessel_j_series(nu, z, policy) * math.cos(math.pi * nu)
-                - _bessel_j_series(-nu, z, policy)) / s
+        return (_bessel_j_series(nu, z) * math.cos(math.pi * nu)
+                - _bessel_j_series(-nu, z)) / s
     # K
     if nint is not None:
-        return _bessel_k_int(nint, z, policy)
+        return _bessel_k_int(nint, z)
     s = math.sin(math.pi * nu)
-    return math.pi / 2.0 * (_bessel_i_series(-nu, z, policy)
-                            - _bessel_i_series(nu, z, policy)) / s
+    return math.pi / 2.0 * (_bessel_i_series(-nu, z)
+                            - _bessel_i_series(nu, z)) / s
 
 
-def kelvin_bei_complex(nu: float, z: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def kelvin_bei_complex(nu: float, z: complex) -> complex:
     """Analytic continuation of bei_nu to complex argument via its series.
 
     bei_nu(x) = sum_k sin(pi (3 nu / 4 + k / 2)) (x/2)^(nu+2k) / (k! Gamma(nu+k+1)).
@@ -464,15 +465,15 @@ def kelvin_bei_complex(nu: float, z: complex, policy: PrecisionPolicy = DEFAULT_
         k0 = -round(nu)
         term = cpow(half, nu + 2 * k0) / (math.gamma(k0 + 1) * gamma(nu + k0 + 1.0))
     total = 0.0 + 0.0j
-    for k in range(k0, policy.max_terms):
+    for k in range(k0, MAX_TERMS):
         total += math.sin(math.pi * (0.75 * nu + 0.5 * k)) * term
         term *= q / ((k + 1.0) * (nu + k + 1.0))
-        if abs(term) <= policy.rel_tol * max(abs(total), 1e-300) and k > k0 + 2:
+        if abs(term) <= REL_TOL * max(abs(total), 1e-300) and k > k0 + 2:
             return total
     raise NonConvergence("Kelvin bei series did not converge")
 
 
-def kelvin_bei(nu: float, x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def kelvin_bei(nu: float, x: float) -> float:
     """Kelvin function bei_nu(x) = Im J_nu(x exp(3 i pi / 4)) for x >= 0."""
     if x < 0:
         raise DomainError("kelvin_bei requires x >= 0")
@@ -480,7 +481,7 @@ def kelvin_bei(nu: float, x: float, policy: PrecisionPolicy = DEFAULT_POLICY) ->
         if nu < 0 and _near_integer(nu) is None:
             raise PoleError("bei of negative non-integer order at x = 0")
         return 0.0
-    return kelvin_bei_complex(nu, complex(x), policy).real
+    return kelvin_bei_complex(nu, complex(x)).real
 
 
 def erfi(x: float) -> float:
@@ -506,7 +507,7 @@ def erfi(x: float) -> float:
     return 2.0 / math.sqrt(math.pi) * total
 
 
-def poly_via_2f1(z: complex, n: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def poly_via_2f1(z: complex, n: int) -> complex:
     """Multi-valued representation of z**n through a pair of 2F1 values.
 
     (1+z^n) 2F1(1/2,1;3/2;-(1+z^n)^2) - (1-z^n) 2F1(1/2,1;3/2;-(1-z^n)^2),
@@ -516,6 +517,6 @@ def poly_via_2f1(z: complex, n: int, policy: PrecisionPolicy = DEFAULT_POLICY) -
     zn = cpow(z, n) if z != 0 else (0.0 + 0.0j if n > 0 else 1.0 + 0.0j)
     up = 1.0 + zn
     dn = 1.0 - zn
-    f_up = pfq((0.5, 1.0), (1.5,), -(up * up), policy)
-    f_dn = pfq((0.5, 1.0), (1.5,), -(dn * dn), policy)
+    f_up = pfq((0.5, 1.0), (1.5,), -(up * up))
+    f_dn = pfq((0.5, 1.0), (1.5,), -(dn * dn))
     return up * f_up - dn * f_dn

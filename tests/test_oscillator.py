@@ -205,6 +205,21 @@ def test_wavefunction_decays_at_large_x():
     assert abs(complex(osc.assemble_wavefunction(0.5, s))) < np.inf
 
 
+def test_wavefunction_phase_path_matches_explicit_sum():
+    # psi(x) = e^{-t} sum_n c_n x^n e^{i n theta(t)} with t = x^4/12 at N = 1.
+    p = osc.OscParams(1, 0.5, 1.0 + 0.2j)
+    s = osc.frobenius_coeffs(p, (1, 0.3), 0.0, 30)
+    for x in (0.4, 0.9):
+        t = x ** 4 / 12.0
+        theta = osc.theta_phase(p, t)
+        want = cmath.exp(-t) * sum(c * x ** n * cmath.exp(1j * n * theta)
+                                   for n, c in enumerate(s.coeffs))
+        got = osc.assemble_wavefunction(x, s, p)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        # the phase really enters: theta = 0 gives another value
+        assert abs(got - osc.assemble_wavefunction(x, s)) > 1e-6 * abs(want)
+
+
 def test_wavefunction_truncation_warning():
     p = osc.OscParams(1, 0.5, 1.0)
     s = osc.frobenius_coeffs(p, (1, 0), 0.0, 6)

@@ -115,6 +115,14 @@ def test_2f1_analytic_continuation(z):
     assert rel_err(sf.pfq((1.0, 0.75), (1.75,), z), want) < 1e-10
 
 
+def test_2f1_just_outside_unit_circle_vs_mpmath():
+    # |z| = 1.0012, where the 1/z series (|1/z| = 0.9988) cannot converge
+    # within the term budget; the 1-z transformation (|1-z| = 0.28) can.
+    a, b, c, z = 0.49977, 1.49812, 2.29672, 0.96148 + 0.27931j
+    want = complex(mp.hyp2f1(a, b, c, mp.mpc(z)))
+    assert rel_err(sf.hyp2f1(a, b, c, z), want) < 1e-10
+
+
 def test_pfq_bad_denominator_parameter():
     with pytest.raises(PoleError):
         sf.pfq((1.0, 2.0), (-1.0,), 0.3)
