@@ -17,9 +17,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import analysis, bethe, oscillator, rgflow, specfun, svg
+from . import rgflow, specfun, svg
 from .config import (RunConfig, SUBCOMMANDS, canonical_echo, echo_path,
                      parse_config)
 from .errors import (CflowError, FlowStopped, NoConvergence, Overflow,
@@ -73,6 +71,21 @@ def _need(params: dict, *keys):
     return [params[k] for k in keys]
 
 
+def _linspace(start: float, stop: float, n: int) -> list:
+    """np.linspace(start, stop, n).tolist() for n >= 1, by numpy's own
+    arithmetic, so the cold CLI path needs no numpy."""
+    delta = stop - start
+    if n == 1:
+        return [0.0 * delta + start]
+    step = delta / (n - 1)
+    if step == 0:  # numpy's branch for a subnormal step
+        grid = [i / (n - 1) * delta + start for i in range(n)]
+    else:
+        grid = [i * step + start for i in range(n)]
+    grid[-1] = stop
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners; each returns (exit_code, lines_or_payload)
 # ---------------------------------------------------------------------------
@@ -103,6 +116,7 @@ def _run_eval(cfg: RunConfig) -> int:
 
 
 def _run_oscillator(cfg: RunConfig) -> int:
+    from . import oscillator
     p = cfg.params
     N, gamma = _need(p, "N", "gamma")
     E = complex(p.get("E_re", 0.0), p.get("E_im", 0.0))
@@ -118,6 +132,7 @@ def _run_oscillator(cfg: RunConfig) -> int:
 
 
 def _run_bethe(cfg: RunConfig) -> int:
+    from . import bethe
     p = cfg.params
     n, N = _need(p, "n", "N")
     out = bethe.solve_bethe_roots(n, N, tol=p.get("tol", 1e-12))
@@ -153,13 +168,12 @@ def _flow_rows_one_loop(p: dict, variant: str):
     n_points = int(p.get("n_points", 64))
     g0 = float(p.get("gamma_start", 0.05))
     g1 = float(p.get("gamma_end", 0.5))
-    grid = np.linspace(g0, g1, n_points)
+    grid = _linspace(g0, g1, n_points)
     traj, invariants = rgflow.one_loop_invariant_flow(
         variant, grid, float(p.get("C", 1.0)))
     rows = []
     for i, (st, inv) in enumerate(zip(traj.states, invariants)):
-        rows.append((float(grid[i]) - float(grid[0]), st.tau, st.g_inv,
-                     st.gamma, inv))
+        rows.append((grid[i] - grid[0], st.tau, st.g_inv, st.gamma, inv))
     return rows, None
 
 
@@ -194,7 +208,7 @@ def _flow_rows_contour(p: dict, variant: str):
 def _flow_rows_cf(p: dict):
     sites = int(p.get("sites", 8))
     tau_max = float(p.get("tau_max", 2.0))
-    taus = np.linspace(0.0, tau_max, sites)
+    taus = _linspace(0.0, tau_max, sites)
     g0 = [complex(p.get("ginv0", 1.0))] * sites
     vals = rgflow.continued_fraction_rg(g0, taus, int(p.get("depth", 2)))
     rows = []
@@ -231,6 +245,7 @@ def _run_flow(cfg: RunConfig) -> int:
 
 
 def _run_cycle(cfg: RunConfig) -> int:
+    from . import analysis
     p = cfg.params
     (path,) = _need(p, "input")
     pts = []
@@ -262,6 +277,7 @@ def _run_cycle(cfg: RunConfig) -> int:
 
 
 def _run_phase(cfg: RunConfig) -> int:
+    from . import analysis
     p = cfg.params
     (N_list,) = _need(p, "N_list")
     gamma = float(p.get("gamma", 0.5))
@@ -380,6 +396,9 @@ def main(argv=None) -> int:
         return 2
     except (CflowError, OSError) as exc:
         sys.stderr.write(f"cflow: {exc}\n")
+        return 1
+    except OverflowError as exc:  # float arithmetic left the double range
+        sys.stderr.write(f"cflow: overflow: {exc}\n")
         return 1
 
 

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import specfun as sf
 from .errors import (BranchCollision, BranchCut, DivisionByZero,
                      DomainError, ExceptionalPoint, NoConvergence, Overflow,
@@ -264,6 +262,7 @@ def gamma_tilde(beta: complex, k: complex, N, nu: float) -> complex:
 @functools.cache
 def _arc_nodes():
     """240-point Gauss-Legendre rule, built on first use to keep imports cheap."""
+    import numpy as np
     return np.polynomial.legendre.leggauss(240)
 
 
@@ -281,6 +280,7 @@ def _series_tail_arc(w: complex, b: float) -> complex:
     for Im w > 0).  Endpoint substitution s = sigma^2 absorbs the t^b
     singularity for b > -1.
     """
+    import numpy as np
     nodes, weights = _arc_nodes()
     sig = 0.5 * (nodes + 1.0)
     wts = 0.5 * weights

@@ -132,8 +132,10 @@ def _upper_gamma_cf(s: complex, z: complex) -> complex:
 def upper_incomplete_gamma(s: complex, z: complex) -> complex:
     """Upper incomplete gamma Gamma(s, z) on the principal branch.
 
-    Gamma(s, 0) reduces to the complete gamma.  For s at or near a negative
-    integer with z != 0 the recurrence
+    Gamma(s, 0) reduces to the complete gamma.  Re z > 0 with
+    |z| > |s| + 1, or with Re s < 0 and |z| >= 2, takes the Legendre
+    continued fraction.  Otherwise, for s at or near a negative integer the
+    recurrence
     Gamma(s, z) = (Gamma(s+1, z) - z**s e**-z) / s lifts s out of the
     pole of the complete gamma used by the series path, at most
     ``MAX_TERMS`` unit steps; beyond that it raises NonConvergence.
@@ -149,7 +151,10 @@ def upper_incomplete_gamma(s: complex, z: complex) -> complex:
         return s.imag == 0 and abs(s.real - round(s.real)) < 1e-9
 
     def cf_applies(s):
-        return z.real > 0 and abs(z) > abs(s) + 1.0
+        # for Re s < 0 the series path subtracts two near-equal terms once
+        # |z| reaches 2, while the fraction converges there
+        return z.real > 0 and (abs(z) > abs(s) + 1.0
+                               or (s.real < 0 and abs(z) >= 2.0))
 
     lifted = []
     while near_integer(s) and round(s.real) < 0 and not cf_applies(s):

@@ -246,6 +246,33 @@ class TestConfigFileAndErrors:
                      "--gamma_start", "0.5", "--gamma_end", "0.1",
                      "--n_points", "5", "--C", "1.0"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "gamma_u", "--s_re", "1e300", "--z_re", "1",
+         "--z_im", "1"],
+        ["eval", "--fn", "bessel_j", "--nu", "1e300", "--z_re", "0.8"],
+        ["eval", "--fn", "2f1", "--a", "-0.26", "--b", "-2.56", "--c", "1e300",
+         "--z_re", "-782678.6", "--z_im", "1"],
+        ["flow", "--variant", "one-loop-v1", "--gamma_start", "1e300",
+         "--gamma_end", "1e300", "--n_points", "1", "--C", "1e300"],
+    ], ids=["gamma_u", "bessel_j", "2f1", "one-loop-v1"])
+    def test_float_overflow_exits_1_one_line(self, in_tmp, capsys, argv):
+        assert main(argv + ["--out", "o.out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflow: overflow: ") and err.count("\n") == 1
+        assert not (in_tmp / "o.out").exists()
+
+
+@pytest.mark.parametrize("start, stop, n", [
+    (0.1, 1.0, 64), (0.05, 0.5, 64), (0.0, 2.1, 8), (0.3, 0.7, 1),
+    (0.3, 0.7, 2), (-0.0, 1.0, 1), (0.0, 5e-324, 4), (-1e308, 1e308, 1),
+    (-1e308, 1e308, 3)])
+def test_linspace_matches_numpy_bit_for_bit(start, stop, n):
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):  # 2e308 span: nan
+        want = np.linspace(start, stop, n).tolist()
+    assert [x.hex() for x in cli._linspace(start, stop, n)] == \
+        [x.hex() for x in want]
+
 
 class TestOtherSubcommands:
     def test_bethe_roots_json(self, in_tmp):
@@ -344,6 +371,43 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 assert not loaded, loaded
 from cflow.oscillator import OscParams, frobenius_coeffs
 assert len(frobenius_coeffs(OscParams(1, 0.5, 1.0)).coeffs) == 21
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_cold_flow_eval_wetterich_do_not_import_numpy(tmp_path):
+    # numpy costs about half of a cold cflow process; flow, eval and
+    # wetterich run without it, and the log-action arc quadrature loads it
+    # at the call
+    script = """
+import cmath, math, sys
+import cflow.cli
+runs = [
+    ["flow", "--variant", "n-power", "--N", "2", "--n_points", "9",
+     "--out", "np.csv", "--svg", "np.svg"],
+    ["flow", "--variant", "one-loop-v1", "--n_points", "16", "--out", "ol.csv"],
+    ["flow", "--variant", "cf-rg", "--sites", "5", "--out", "cf.csv"],
+    ["eval", "--fn", "2f1", "--a", "0.3", "--b", "0.7", "--c", "1.9",
+     "--z_re", "0.5", "--z_im", "0.2", "--out", "h.json"],
+    ["eval", "--fn", "bessel_k", "--nu", "1", "--z_re", "1.8", "--out", "k.json"],
+    ["wetterich", "--mode", "real_osc", "--omega", "1.0", "--Lambda", "1000",
+     "--out", "w.json"],
+]
+for argv in runs:
+    assert cflow.cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.startswith("numpy"))
+assert not loaded, loaded[:5]
+from cflow import rgflow
+# arc branch: w = 2 + 0.05i, where the arc agrees with the principal branch
+N, u, w = 4, 0.75, 2.0 + 0.05j
+got = rgflow.log_action(-w * u * u / N, 1.0, N, N * math.asin(u))
+want = u * (N - rgflow._series_tail(w, -0.5))
+assert abs(got - want) < 1e-9 * abs(want), (got, want)
 print("ok")
 """
     env = dict(os.environ, PYTHONPATH=_SRC)

@@ -56,9 +56,19 @@ def test_gamma_negative_real_argument():
 
 @pytest.mark.parametrize("z", [0.8 + 0.3j, -1.5 + 0.2j, 2.5])
 def test_gamma_negative_integer_s_vs_mpmath(z):
-    # s = -3 takes three steps of the upward recurrence before the E_1 series
+    # for |z| < 2, s = -3 takes three steps of the upward recurrence before
+    # the E_1 series; z = 2.5 takes the continued fraction
     want = complex(mp.gammainc(-3, mp.mpc(z)))
     assert rel_err(sf.upper_incomplete_gamma(-3.0, z), want) < 1e-11
+
+
+@pytest.mark.parametrize("s, z", [(-2.0625, 3.0), (-2.75, 3.0),
+                                  (-3.8856 + 0.95j, 5.0)])
+def test_gamma_negative_re_s_continued_fraction_vs_mpmath(s, z):
+    # Re s < 0, Re z > 0, |z| >= 2: gamma(s) minus the lower-gamma series
+    # cancels there (2.4e-10 at (-2.0625, 3)), the continued fraction does not
+    want = complex(mp.gammainc(mp.mpc(s), mp.mpc(z)))
+    assert rel_err(sf.upper_incomplete_gamma(s, z), want) < 1e-11
 
 
 def test_gamma_recurrence_is_capped():
