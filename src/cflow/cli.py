@@ -248,22 +248,8 @@ def _run_cycle(cfg: RunConfig) -> int:
     from . import analysis
     p = cfg.params
     (path,) = _need(p, "input")
-    pts = []
-    import csv as _csv
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty CSV")
-        for col in ("Re g_inv", "Im g_inv"):
-            if col not in reader.fieldnames:
-                raise SchemaError(f"{path}: missing column {col!r}")
-        for row in reader:
-            try:
-                z = complex(float(row["Re g_inv"]), float(row["Im g_inv"]))
-            except (TypeError, ValueError):
-                continue
-            if math.isfinite(z.real) and math.isfinite(z.imag):
-                pts.append(z)
+    pts = [complex(x, y)
+           for x, y in svg._read_points(path, ("Re g_inv", "Im g_inv"))]
     report = analysis.detect_limit_cycle(pts, tol=p.get("tol", 1e-3))
     _write_json(cfg.out_path, {
         "closed": report.closed,

@@ -154,7 +154,12 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
 
         for g, t in zip(gammas, solve_rk4(f, gammas, root ** -2.0)):
             t = t.real
-            g_inv = g ** 1.5 / math.sqrt(t)
+            try:
+                g_inv = g ** 1.5 / math.sqrt(t)
+            except ZeroDivisionError:  # t underflowed to 0
+                g_inv = math.inf
+            if math.isinf(g_inv):
+                raise Overflow(f"one-loop g_inv leaves the double range at gamma = {g}")
             states.append(FlowState(g, g_inv, g))
             invariants.append((2.0 / 3.0) * t ** -0.5 - 2.0 * math.sqrt(g))
     elif variant == "appendix_v2":

@@ -4,10 +4,13 @@ Everything here is self-contained (series, continued fractions and the
 standard linear transformations); the test suite cross-checks each function
 against independent quadrature / high-precision oracles.
 
-Every series and continued fraction stops by one fixed rule: once a term
-(or a Lentz correction) is at most ``REL_TOL`` of the running sum, and it
-raises ``NonConvergence`` after ``MAX_TERMS`` terms.  ``erfi`` alone sums
-its always-convergent series to 1e-16.
+Every hypergeometric-type series (incomplete gamma, 2F1/pFq, Bessel J/I,
+Kelvin bei) is summed by one loop, ``_pfq_series``; integer-order Bessel
+Y/K add a digamma series in ``_bessel_yk_int``.  Every series and
+continued fraction stops by one fixed rule: once a term (or a Lentz
+correction) is at most ``REL_TOL`` of the running sum, and it raises
+``NonConvergence`` after ``MAX_TERMS`` terms.  ``erfi`` alone sums its
+always-convergent series to 1e-16.
 """
 from __future__ import annotations
 
@@ -69,18 +72,20 @@ def cpow(w: complex, a: complex) -> complex:
     return cmath.exp(complex(a) * clog(w))
 
 
-def _is_nonpositive_integer(s: complex, tol: float = 1e-12) -> bool:
-    s = complex(s)
-    if abs(s.imag) > tol:
-        return False
-    n = round(s.real)
-    return n <= 0 and abs(s.real - n) <= tol
+def _near_integer(x: complex, tol: float):
+    """The integer within ``tol`` of x in both parts, else None."""
+    x = complex(x)
+    n = round(x.real)
+    if abs(x.imag) <= tol and abs(x.real - n) <= tol:
+        return n
+    return None
 
 
 def gamma(s: complex) -> complex:
     """Complex gamma function (Lanczos, reflection for Re s < 1/2)."""
     s = complex(s)
-    if _is_nonpositive_integer(s):
+    n = _near_integer(s, 1e-12)
+    if n is not None and n <= 0:
         raise PoleError(f"gamma pole at s = {s}")
     if s.real < 0.5:
         # Reflection formula.
@@ -91,18 +96,6 @@ def gamma(s: complex) -> complex:
         x += _LANCZOS[i] / (z + i)
     t = z + 7.5
     return math.sqrt(2.0 * math.pi) * cpow(t, z + 0.5) * cmath.exp(-t) * x
-
-
-def _lower_gamma_series(s: complex, z: complex) -> complex:
-    """Kummer series for the lower incomplete gamma, z**s e**-z sum z**k / (s)_{k+1}."""
-    term = 1.0 / s
-    total = term
-    for k in range(1, MAX_TERMS):
-        term *= z / (s + k)
-        total += term
-        if abs(term) <= REL_TOL * abs(total):
-            return cpow(z, s) * cmath.exp(-z) * total
-    raise NonConvergence("lower incomplete gamma series did not converge")
 
 
 def _upper_gamma_cf(s: complex, z: complex) -> complex:
@@ -143,12 +136,10 @@ def upper_incomplete_gamma(s: complex, z: complex) -> complex:
     s = complex(s)
     z = complex(z)
     if z == 0:
-        if _is_nonpositive_integer(s):
+        n = _near_integer(s, 1e-12)
+        if n is not None and n <= 0:
             raise PoleError(f"Gamma(s, 0) pole at s = {s}")
         return gamma(s)
-
-    def near_integer(s):
-        return s.imag == 0 and abs(s.real - round(s.real)) < 1e-9
 
     def cf_applies(s):
         # for Re s < 0 the series path subtracts two near-equal terms once
@@ -156,47 +147,43 @@ def upper_incomplete_gamma(s: complex, z: complex) -> complex:
         return z.real > 0 and (abs(z) > abs(s) + 1.0
                                or (s.real < 0 and abs(z) >= 2.0))
 
+    # the integer within 1e-9 of an exactly real s, else None
+    n = _near_integer(s, 1e-9) if s.imag == 0 else None
     lifted = []
-    while near_integer(s) and round(s.real) < 0 and not cf_applies(s):
+    while n is not None and n < 0 and not cf_applies(s):
         if len(lifted) == MAX_TERMS:
             raise NonConvergence(f"Gamma(s, z) recurrence did not reach s = 0 "
                                  f"within {MAX_TERMS} steps")
         lifted.append(s)
         s = s + 1.0
+        n += 1
     if cf_applies(s):
         total = _upper_gamma_cf(s, z)
-    elif near_integer(s) and round(s.real) == 0:
-        # Gamma(0, z) = E_1(z) = -euler_gamma - Log z - sum (-z)^k / (k k!).
-        total = -_EULER_GAMMA - clog(z)
-        term = 1.0 + 0.0j
-        for k in range(1, MAX_TERMS):
-            term *= -z / k
-            total -= term / k
-            if abs(term) <= REL_TOL * max(abs(total), 1e-300):
-                break
-        else:
-            raise NonConvergence("exponential-integral series did not converge")
+    elif n == 0:
+        # Gamma(0, z) = E_1(z) = -euler_gamma - Log z + z 2F2(1, 1; 2, 2; -z)
+        total = (-_EULER_GAMMA - clog(z)
+                 + z * _pfq_series((1.0, 1.0), (2.0, 2.0), -z))
     else:
-        total = gamma(s) - _lower_gamma_series(s, z)
+        # lower incomplete gamma z**s e**-z 1F1(1; s+1; z) / s (DLMF 8.5.1)
+        total = gamma(s) - (cpow(z, s) * cmath.exp(-z) / s
+                            * _pfq_series((1.0,), (s + 1.0,), z))
     for sk in reversed(lifted):
         total = (total - cpow(z, sk) * cmath.exp(-z)) / sk
     return total
 
 
 def _pfq_series(numer, denom, z, term_limit=MAX_TERMS):
-    term = 1.0 + 0.0j
-    total = term
+    term = total = 1.0 + 0.0j
     for k in range(term_limit):
-        ratio = z / (k + 1.0)
+        num = z
         for a in numer:
-            ratio *= a + k
+            num *= a + k
+        den = k + 1.0
         for b in denom:
-            ratio /= b + k
-        term = term * ratio
+            den *= b + k
+        term *= num / den
         total += term
-        if term == 0:
-            return total
-        if abs(term) <= REL_TOL * abs(total) and k > 2:
+        if abs(term) <= REL_TOL * abs(total) and (k > 2 or term == 0):
             return total
     raise NonConvergence("pFq series did not converge within max_terms")
 
@@ -205,30 +192,18 @@ def _hyp2f1_series(a, b, c, z):
     return _pfq_series((a, b), (c,), z)
 
 
-def _near_integer(x: complex, tol: float = 1e-9):
-    x = complex(x)
-    n = round(x.real)
-    if abs(x.imag) <= tol and abs(x.real - n) <= tol:
-        return n
-    return None
-
-
 def hyp2f1(a, b, c, z) -> complex:
     """Gauss hypergeometric 2F1 with the standard linear transformations.
 
     Raises BranchCut if z lies exactly on the cut [1, inf).
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    if _is_nonpositive_integer(c):
+    na, nb = _near_integer(a, 1e-9), _near_integer(b, 1e-9)
+    nc = _near_integer(c, 1e-12)
+    if nc is not None and nc <= 0:
         # Allowed only when the series terminates first.
-        na, nb = _near_integer(a), _near_integer(b)
-        nc = _near_integer(c)
-        terminates = any(
-            n is not None and n <= 0 and n > nc for n in (na, nb)
-        )
-        if not terminates:
+        if not any(n is not None and nc < n <= 0 for n in (na, nb)):
             raise PoleError(f"2F1 denominator parameter c = {c} is a non-positive integer")
-    na, nb = _near_integer(a), _near_integer(b)
     if (na is not None and na <= 0) or (nb is not None and nb <= 0):
         # Terminating polynomial case.
         n = min(x for x in (na, nb) if x is not None and x <= 0)
@@ -244,10 +219,10 @@ def hyp2f1(a, b, c, z) -> complex:
     if abs(w) < 0.9:
         return cpow(1.0 - z, -a) * _hyp2f1_series(a, c - b, c, w)
     # 1/z transformation (needs a - b non-integer).
-    if _near_integer(a - b) is None and abs(1.0 / z) < 0.95:
+    if _near_integer(a - b, 1e-9) is None and abs(1.0 / z) < 0.95:
         return _hyp2f1_inv_z(a, b, c, z)
     # 1/(1-z) transformation (needs a - b non-integer).
-    if _near_integer(a - b) is None:
+    if _near_integer(a - b, 1e-9) is None:
         w = 1.0 / (1.0 - z)
         if abs(w) < 0.95:
             t1 = (
@@ -262,7 +237,7 @@ def hyp2f1(a, b, c, z) -> complex:
             )
             return t1 + t2
     # 1-z transformation (needs c - a - b non-integer).
-    if _near_integer(c - a - b) is None:
+    if _near_integer(c - a - b, 1e-9) is None:
         w = 1.0 - z
         if abs(w) < 0.95:
             t1 = (
@@ -282,7 +257,7 @@ def hyp2f1(a, b, c, z) -> complex:
     radius, series = abs(z), "direct"
     if abs(w) < radius:
         radius, series = abs(w), "pfaff"
-    if _near_integer(a - b) is None and 1.0 / abs(z) < radius:
+    if _near_integer(a - b, 1e-9) is None and 1.0 / abs(z) < radius:
         radius, series = 1.0 / abs(z), "inv_z"
     if radius >= 1.0:
         raise NonConvergence(f"no usable 2F1 transformation for z = {z}")
@@ -319,7 +294,8 @@ def pfq(numer, denom, z) -> complex:
     denom = [complex(v) for v in denom]
     z = complex(z)
     for b in denom:
-        if _is_nonpositive_integer(b):
+        n = _near_integer(b, 1e-12)
+        if n is not None and n <= 0:
             raise PoleError(f"pFq denominator parameter {b} is a non-positive integer")
     if len(numer) == 2 and len(denom) == 1:
         if abs(z) >= 0.9:
@@ -338,15 +314,8 @@ def pfq(numer, denom, z) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_j_series(nu: float, z: complex) -> complex:
-    return _bessel_ji_series(nu, z, sign=-1.0)
-
-
-def _bessel_i_series(nu: float, z: complex) -> complex:
-    return _bessel_ji_series(nu, z, sign=1.0)
-
-
-def _bessel_ji_series(nu: float, z: complex, sign: float) -> complex:
+def _bessel_ji(nu: float, z: complex, sign: float) -> complex:
+    """J_nu (sign -1) or I_nu (sign +1): (z/2)^nu 0F1(; nu+1; sign z^2/4) / Gamma(nu+1)."""
     z = complex(z)
     if z == 0:
         if nu == 0:
@@ -354,71 +323,42 @@ def _bessel_ji_series(nu: float, z: complex, sign: float) -> complex:
         if nu > 0:
             return 0.0 + 0.0j
         raise PoleError("Bessel of negative order at z = 0")
-    q = z * z / 4.0
-    # term_k = (z/2)^nu (sign q)^k / (k! Gamma(nu+k+1))
     try:
-        g0 = gamma(nu + 1.0)
-        term = cpow(z / 2.0, nu) / g0
+        scale = cpow(z / 2.0, nu) / gamma(nu + 1.0)
     except PoleError:
-        # Negative integer nu: leading terms vanish.
-        n = -round(nu)
-        term = cpow(z / 2.0, nu) * cpow(sign * q, n) / (math.gamma(n + 1) * gamma(nu + n + 1.0))
-        total = term
-        for k in range(n + 1, MAX_TERMS):
-            term *= sign * q / (k * (nu + k))
-            total += term
-            if abs(term) <= REL_TOL * abs(total):
-                return total
-        raise NonConvergence("Bessel series did not converge")
-    total = term
-    for k in range(1, MAX_TERMS):
-        term *= sign * q / (k * (nu + k))
-        total += term
-        if abs(term) <= REL_TOL * abs(total):
-            return total
-    raise NonConvergence("Bessel series did not converge")
+        # nu is a negative integer n: J_n = (-1)^n J_{-n} and I_n = I_{-n}
+        n = round(nu)
+        return sign ** n * _bessel_ji(float(-n), z, sign)
+    return scale * _pfq_series((), (nu + 1.0,), sign * z * z / 4.0)
 
 
-def _psi_int(m: int) -> float:
-    """Digamma at a positive integer."""
-    return -_EULER_GAMMA + sum(1.0 / j for j in range(1, m))
+def _bessel_yk_int(kind: str, n: int, z: complex) -> complex:
+    """Y_n or K_n at integer order n (DLMF 10.8.1 and 10.31.1).
 
-
-def _bessel_y_int(n: int, z: complex) -> complex:
-    if n < 0:
-        return (-1.0) ** (-n) * _bessel_y_int(-n, z)
-    half = z / 2.0
-    jn = _bessel_j_series(float(n), z)
-    total = (2.0 / math.pi) * clog(half) * jn
-    for k in range(n):
-        total -= (math.gamma(n - k) / math.gamma(k + 1)) / math.pi * cpow(half, 2 * k - n)
-    q = -half * half
-    term = cpow(half, n) / math.gamma(n + 1)
-    for k in range(MAX_TERMS):
-        total -= (_psi_int(k + 1) + _psi_int(n + k + 1)) / math.pi * term
-        nxt = term * q / ((k + 1.0) * (n + k + 1.0))
-        if abs(nxt) <= REL_TOL * max(abs(total), 1e-300):
-            return total
-        term = nxt
-    raise NonConvergence("integer-order Y series did not converge")
-
-
-def _bessel_k_int(n: int, z: complex) -> complex:
+    Both read c [F - 2 e Log(z/2) C_n + e S] with C_n = J_n (I_n), the
+    finite sum F = sum_{k<n} (n-k-1)!/k! (-q)^k (z/2)^-n and the digamma
+    series S = (z/2)^n sum_k (psi(k+1) + psi(n+k+1)) q^k / (k! (n+k)!):
+    q = -(z/2)^2, c = -1/pi, e = 1 for Y and q = (z/2)^2, c = 1/2,
+    e = (-1)^n for K.
+    """
+    # Y_{-n} = (-1)^n Y_n and K_{-n} = K_n
+    reflect = (-1.0) ** n if kind == "Y" and n < 0 else 1.0
     n = abs(n)
+    sign, c, e = (-1.0, -1.0 / math.pi, 1.0) if kind == "Y" else (1.0, 0.5, (-1.0) ** n)
     half = z / 2.0
-    inz = _bessel_i_series(float(n), z)
-    total = (-1.0) ** (n + 1) * clog(half) * inz
-    for k in range(n):
-        total += 0.5 * (-1.0) ** k * (math.gamma(n - k) / math.gamma(k + 1)) * cpow(half, 2 * k - n)
-    q = half * half
+    q = sign * half * half
+    total = c * sum(math.gamma(n - k) / math.gamma(k + 1) * (-sign) ** k
+                    * cpow(half, 2 * k - n) for k in range(n))
+    total -= 2.0 * c * e * clog(half) * _bessel_ji(float(n), z, sign)
+    psi = -2.0 * _EULER_GAMMA + sum(1.0 / j for j in range(1, n + 1))
     term = cpow(half, n) / math.gamma(n + 1)
     for k in range(MAX_TERMS):
-        total += (-1.0) ** n * 0.5 * (_psi_int(k + 1) + _psi_int(n + k + 1)) * term
-        nxt = term * q / ((k + 1.0) * (n + k + 1.0))
-        if abs(nxt) <= REL_TOL * max(abs(total), 1e-300):
-            return total
-        term = nxt
-    raise NonConvergence("integer-order K series did not converge")
+        total += c * e * psi * term
+        term *= q / ((k + 1.0) * (n + k + 1.0))
+        psi += 1.0 / (k + 1) + 1.0 / (n + k + 1)
+        if abs(term) <= REL_TOL * max(abs(total), 1e-300):
+            return reflect * total
+    raise NonConvergence(f"integer-order {kind} series did not converge")
 
 
 def bessel(kind: str, nu: float, z: complex) -> complex:
@@ -431,29 +371,25 @@ def bessel(kind: str, nu: float, z: complex) -> complex:
     z = complex(z)
     if z == 0 and kind in ("Y", "K"):
         raise PoleError(f"Bessel {kind} is singular at z = 0")
-    nint = _near_integer(nu, tol=1e-8)
     if kind == "J":
-        return _bessel_j_series(nu, z)
+        return _bessel_ji(nu, z, -1.0)
     if kind == "I":
-        return _bessel_i_series(nu, z)
-    if kind == "Y":
-        if nint is not None:
-            return _bessel_y_int(nint, z)
-        s = math.sin(math.pi * nu)
-        return (_bessel_j_series(nu, z) * math.cos(math.pi * nu)
-                - _bessel_j_series(-nu, z)) / s
-    # K
+        return _bessel_ji(nu, z, 1.0)
+    nint = _near_integer(nu, 1e-8)
     if nint is not None:
-        return _bessel_k_int(nint, z)
+        return _bessel_yk_int(kind, nint, z)
     s = math.sin(math.pi * nu)
-    return math.pi / 2.0 * (_bessel_i_series(-nu, z)
-                            - _bessel_i_series(nu, z)) / s
+    if kind == "Y":
+        return (_bessel_ji(nu, z, -1.0) * math.cos(math.pi * nu)
+                - _bessel_ji(-nu, z, -1.0)) / s
+    return math.pi / 2.0 * (_bessel_ji(-nu, z, 1.0) - _bessel_ji(nu, z, 1.0)) / s
 
 
 def kelvin_bei_complex(nu: float, z: complex) -> complex:
     """Analytic continuation of bei_nu to complex argument via its series.
 
-    bei_nu(x) = sum_k sin(pi (3 nu / 4 + k / 2)) (x/2)^(nu+2k) / (k! Gamma(nu+k+1)).
+    bei_nu(x) = sum_k sin(pi (3 nu / 4 + k / 2)) (x/2)^(nu+2k) / (k! Gamma(nu+k+1)),
+    summed as its even-k and odd-k halves, each a 0F3 series in -x^4/256.
     """
     z = complex(z)
     if z == 0:
@@ -461,21 +397,18 @@ def kelvin_bei_complex(nu: float, z: complex) -> complex:
             return 0.0 + 0.0j
         raise PoleError("bei of negative order at z = 0")
     half = z / 2.0
-    q = half * half
-    k0 = 0
     try:
-        term = cpow(half, nu) / gamma(nu + 1.0)
+        scale = cpow(half, nu) / gamma(nu + 1.0)
     except PoleError:
-        # Negative integer order: skip the vanishing leading terms.
-        k0 = -round(nu)
-        term = cpow(half, nu + 2 * k0) / (math.gamma(k0 + 1) * gamma(nu + k0 + 1.0))
-    total = 0.0 + 0.0j
-    for k in range(k0, MAX_TERMS):
-        total += math.sin(math.pi * (0.75 * nu + 0.5 * k)) * term
-        term *= q / ((k + 1.0) * (nu + k + 1.0))
-        if abs(term) <= REL_TOL * max(abs(total), 1e-300) and k > k0 + 2:
-            return total
-    raise NonConvergence("Kelvin bei series did not converge")
+        # nu is a negative integer n: bei_n = (-1)^n bei_{-n}
+        n = round(nu)
+        return (-1.0) ** n * kelvin_bei_complex(float(-n), z)
+    q = half * half
+    w = -q * q / 16.0
+    even = _pfq_series((), (0.5, (nu + 1.0) / 2.0, (nu + 2.0) / 2.0), w)
+    odd = q / (nu + 1.0) * _pfq_series((), (1.5, (nu + 2.0) / 2.0, (nu + 3.0) / 2.0), w)
+    return scale * (math.sin(0.75 * math.pi * nu) * even
+                    + math.cos(0.75 * math.pi * nu) * odd)
 
 
 def kelvin_bei(nu: float, x: float) -> float:
@@ -483,7 +416,7 @@ def kelvin_bei(nu: float, x: float) -> float:
     if x < 0:
         raise DomainError("kelvin_bei requires x >= 0")
     if x == 0:
-        if nu < 0 and _near_integer(nu) is None:
+        if nu < 0 and _near_integer(nu, 1e-9) is None:
             raise PoleError("bei of negative non-integer order at x = 0")
         return 0.0
     return kelvin_bei_complex(nu, complex(x)).real

@@ -261,6 +261,19 @@ class TestConfigFileAndErrors:
         assert err.startswith("cflow: overflow: ") and err.count("\n") == 1
         assert not (in_tmp / "o.out").exists()
 
+    @pytest.mark.parametrize("start, end, n", [
+        ("1e-310", "1e-310", "1"), ("0.5235832154763238", "1e300", "3")])
+    def test_one_loop_t_underflow_exits_1_one_line(self, in_tmp, capsys,
+                                                   start, end, n):
+        # t = 1/root^2 underflows to 0 at the first gamma for C = 1e300
+        assert main(["flow", "--variant", "one-loop-v1", "--gamma_start", start,
+                     "--gamma_end", end, "--n_points", n, "--C", "1e300",
+                     "--out", "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflow: one-loop g_inv leaves the double range")
+        assert err.count("\n") == 1
+        assert not (in_tmp / "o.csv").exists()
+
 
 @pytest.mark.parametrize("start, stop, n", [
     (0.1, 1.0, 64), (0.05, 0.5, 64), (0.0, 2.1, 8), (0.3, 0.7, 1),

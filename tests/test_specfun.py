@@ -71,6 +71,18 @@ def test_gamma_negative_re_s_continued_fraction_vs_mpmath(s, z):
     assert rel_err(sf.upper_incomplete_gamma(s, z), want) < 1e-11
 
 
+@pytest.mark.parametrize("s, z", [
+    # gamma(s) minus z^s e^-z 1F1(1; s+1; z) / s
+    (0.5 + 0.3j, 1.2 - 0.4j), (2.7, 0.9 + 1.5j), (-1.4, -0.8 + 0.6j),
+    (3.3 - 0.5j, 2.0 + 2.0j),
+    # E_1 = -euler_gamma - Log z + z 2F2(1, 1; 2, 2; -z), lifted for s < 0
+    (0.0, 0.3 + 0.4j), (0.0, -0.6 + 0.2j), (-1.0, 0.05 - 0.7j),
+    (-1.0, -0.5 - 0.5j), (-3.0, -0.6 + 0.2j), (-3.0, 0.05 - 0.7j)])
+def test_gamma_hypergeometric_series_paths_vs_mpmath(s, z):
+    want = complex(mp.gammainc(mp.mpc(s), mp.mpc(z)))
+    assert rel_err(sf.upper_incomplete_gamma(s, z), want) < 1e-10
+
+
 def test_gamma_recurrence_is_capped():
     # s + 1 == s in floats, so the recurrence would never reach s = 0
     with pytest.raises(NonConvergence):
@@ -175,6 +187,33 @@ def test_bessel_y_k_pole_at_origin():
         sf.bessel("K", 2.0, 0.0)
 
 
+_MP_BESSEL = {"J": mp.besselj, "I": mp.besseli, "Y": mp.bessely,
+              "K": mp.besselk}
+
+
+@pytest.mark.parametrize("kind", ["J", "I"])
+@pytest.mark.parametrize("nu", [-3.0, -2.5, -1.0, -1.0 / 3.0])
+@pytest.mark.parametrize("z", [0.7 + 0.4j, 2.5 - 1.2j, -1.8 + 0.9j, 4.0 + 0.3j])
+def test_bessel_ji_negative_order_vs_mpmath(kind, nu, z):
+    want = complex(_MP_BESSEL[kind](mp.mpf(nu), mp.mpc(z)))
+    assert rel_err(sf.bessel(kind, nu, z), want) < 1e-10
+
+
+_K_AT_6 = pytest.mark.xfail(
+    strict=True, reason="the K_n series cancels against 2 I_n Log(x/2) and "
+    "loses 1e-10 to 6e-10 relative at x = 6 (large-argument K fault)")
+
+
+@pytest.mark.parametrize("kind, n, x", [
+    pytest.param(kind, n, x, marks=_K_AT_6)
+    if kind == "K" and x == 6.0 and n in (-3, -1, 0, 1, 3) else (kind, n, x)
+    for kind in ("Y", "K") for n in range(-3, 7)
+    for x in (0.3, 1.1, 2.4, 4.2, 6.0)])
+def test_bessel_yk_integer_order_vs_mpmath(kind, n, x):
+    want = complex(_MP_BESSEL[kind](n, mp.mpf(x)))
+    assert rel_err(sf.bessel(kind, float(n), x), want) < 1e-10
+
+
 @pytest.mark.parametrize("nu", [0.0, 1.0, -2.0, 1.0 / 3.0, -0.4, 2.5])
 @pytest.mark.parametrize("z", [0.7, 2.3, 1.0 + 0.8j])
 def test_bessel_derivative_recurrences(nu, z):
@@ -221,6 +260,21 @@ def test_bei_negative_order_vs_series_oracle():
             mp.factorial(k) * mp.gamma(nu + k + 1)
         )
     assert rel_err(sf.kelvin_bei(-1.0 / 3.0, 0.5), float(total)) < 1e-10
+
+
+@pytest.mark.parametrize("z", [r * cmath.exp(-0.25j * math.pi)
+                               for r in (0.8, 1.6, 2.6)] + [1.2 + 0.5j])
+def test_bei_complex_negative_third_vs_mpmath(z):
+    # rho_omega evaluates bei_{-1/3} at |w|^{3/2} e^{-i pi/4} times a constant
+    want = complex(mp.bei(mp.mpf(-1.0 / 3.0), mp.mpc(z)))
+    assert rel_err(sf.kelvin_bei_complex(-1.0 / 3.0, z), want) < 1e-10
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize("x", [0.4, 1.3, 2.8, 4.5])
+def test_bei_negative_integer_order_vs_mpmath(n, x):
+    want = float(mp.bei(n, mp.mpf(x)))
+    assert rel_err(sf.kelvin_bei(float(n), x), want) < 1e-10
 
 
 def test_bei_errors():
