@@ -1,16 +1,17 @@
 """Complex-argument special functions on the principal branch.
 
-Everything here is self-contained (series, continued fractions and the
-standard linear transformations); the test suite cross-checks each function
-against independent quadrature / high-precision oracles.
+Everything here is self-contained (series, continued fractions, the
+standard linear transformations and, for 2F1, a Taylor continuation along
+its ODE); the test suite cross-checks each function against independent
+quadrature / high-precision oracles.
 
 Every hypergeometric-type series (incomplete gamma, 2F1/pFq, Bessel J/I,
 Kelvin bei) is summed by one loop, ``_pfq_series``; integer-order Bessel
-Y/K add a digamma series in ``_bessel_yk_int``.  Every series and
-continued fraction stops by one fixed rule: once a term (or a Lentz
-correction) is at most ``REL_TOL`` of the running sum, and it raises
-``NonConvergence`` after ``MAX_TERMS`` terms.  ``erfi`` alone sums its
-always-convergent series to 1e-16.
+Y/K add a digamma series in ``_bessel_yk_int``, and the 2F1 continuation
+its Taylor steps.  Every series and continued fraction stops by one fixed
+rule: once a term (or a Lentz correction) is at most ``REL_TOL`` of the
+running sum, and it raises ``NonConvergence`` after ``MAX_TERMS`` terms.
+``erfi`` alone sums its always-convergent series to 1e-16.
 """
 from __future__ import annotations
 
@@ -172,13 +173,18 @@ def upper_incomplete_gamma(s: complex, z: complex) -> complex:
     return total
 
 
-def _pfq_series(numer, denom, z, term_limit=MAX_TERMS):
+def _pfq_series(numer, denom, z):
+    # k! is the Pochhammer symbol (1)_k, which a numerator parameter 1 cancels
+    kfact = 1.0 not in numer
+    if not kfact:
+        numer = list(numer)
+        numer.remove(1.0)
     term = total = 1.0 + 0.0j
-    for k in range(term_limit):
+    for k in range(MAX_TERMS):
         num = z
         for a in numer:
             num *= a + k
-        den = k + 1.0
+        den = k + 1.0 if kfact else 1.0
         for b in denom:
             den *= b + k
         term *= num / den
@@ -188,107 +194,103 @@ def _pfq_series(numer, denom, z, term_limit=MAX_TERMS):
     raise NonConvergence("pFq series did not converge within max_terms")
 
 
-def _hyp2f1_series(a, b, c, z):
-    return _pfq_series((a, b), (c,), z)
-
-
 def hyp2f1(a, b, c, z) -> complex:
-    """Gauss hypergeometric 2F1 with the standard linear transformations.
+    """Gauss hypergeometric 2F1 on the principal branch.
 
-    Raises BranchCut if z lies exactly on the cut [1, inf).
+    Region map, first match wins:
+
+    - |z| < 0.9, or a or b exactly a non-positive integer (any z): the
+      direct series, which a zero term ends in the terminating case;
+    - |z/(z-1)| < 0.9: Pfaff, (1-z)^-a 2F1(a, c-b; c; z/(z-1));
+    - |1/z| < 0.95: the 1/z transformation, unless a - b is within
+      max(1e-6, sqrt(1e-5/|z|)) of an integer;
+    - |1-z| < 0.95: the 1-z transformation, unless c - a - b is within
+      max(1e-6, sqrt(1e-5 |1-z|)) of an integer;
+    - everything else, declined arguments too: Taylor continuation along
+      the hypergeometric ODE (``_hyp2f1_continue``), which needs no
+      degenerate (logarithmic) form.
+
+    Raises PoleError for a non-positive integer c that the series does not
+    terminate before, BranchCut for z exactly on the cut [1, inf), and
+    NonConvergence past 40 continuation steps, from |z| ~ 1e6 or |1-z| ~ 1e-11.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    na, nb = _near_integer(a, 1e-9), _near_integer(b, 1e-9)
+    na, nb = _near_integer(a, 0.0), _near_integer(b, 0.0)
     nc = _near_integer(c, 1e-12)
-    if nc is not None and nc <= 0:
-        # Allowed only when the series terminates first.
-        if not any(n is not None and nc < n <= 0 for n in (na, nb)):
-            raise PoleError(f"2F1 denominator parameter c = {c} is a non-positive integer")
-    if (na is not None and na <= 0) or (nb is not None and nb <= 0):
-        # Terminating polynomial case.
-        n = min(x for x in (na, nb) if x is not None and x <= 0)
-        return _pfq_series((a, b), (c,), z, term_limit=-n + 1)
-    if z == 0:
-        return 1.0 + 0.0j
+    # a pole in c is allowed only when the series terminates first
+    if nc is not None and nc <= 0 and not any(n is not None and nc < n <= 0 for n in (na, nb)):
+        raise PoleError(f"2F1 denominator parameter c = {c} is a non-positive integer")
+    if abs(z) < 0.9 or (na is not None and na <= 0) or (nb is not None and nb <= 0):
+        return _pfq_series((a, b), (c,), z)
     if z.imag == 0 and z.real >= 1.0:
         raise BranchCut(f"2F1 argument {z} lies on the cut [1, inf)")
-    if abs(z) < 0.9:
-        return _hyp2f1_series(a, b, c, z)
-    # Pfaff transformation.
     w = z / (z - 1.0)
     if abs(w) < 0.9:
-        return cpow(1.0 - z, -a) * _hyp2f1_series(a, c - b, c, w)
-    # 1/z transformation (needs a - b non-integer).
-    if _near_integer(a - b, 1e-9) is None and abs(1.0 / z) < 0.95:
-        return _hyp2f1_inv_z(a, b, c, z)
-    # 1/(1-z) transformation (needs a - b non-integer).
-    if _near_integer(a - b, 1e-9) is None:
-        w = 1.0 / (1.0 - z)
-        if abs(w) < 0.95:
-            t1 = (
-                gamma(c) * gamma(b - a) / (gamma(b) * gamma(c - a))
-                * cpow(1.0 - z, -a)
-                * _hyp2f1_series(a, c - b, a - b + 1.0, w)
-            )
-            t2 = (
-                gamma(c) * gamma(a - b) / (gamma(a) * gamma(c - b))
-                * cpow(1.0 - z, -b)
-                * _hyp2f1_series(b, c - a, b - a + 1.0, w)
-            )
-            return t1 + t2
-    # 1-z transformation (needs c - a - b non-integer).
-    if _near_integer(c - a - b, 1e-9) is None:
-        w = 1.0 - z
-        if abs(w) < 0.95:
-            t1 = (
-                gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
-                * _hyp2f1_series(a, b, a + b - c + 1.0, w)
-            )
-            t2 = (
-                gamma(c) * gamma(a + b - c) / (gamma(a) * gamma(b))
-                * cpow(w, c - a - b)
-                * _hyp2f1_series(c - a, c - b, c - a - b + 1.0, w)
-            )
-            return t1 + t2
-    # Slowly converging region near |z| = 1: fall back to whichever of the
-    # direct, Pfaff and 1/z series has the smallest |w| < 1, with the full
-    # term budget.  |1/z| is taken as 1/|z|, so |z| = 1 never qualifies.
-    w = z / (z - 1.0)
-    radius, series = abs(z), "direct"
-    if abs(w) < radius:
-        radius, series = abs(w), "pfaff"
-    if _near_integer(a - b, 1e-9) is None and 1.0 / abs(z) < radius:
-        radius, series = 1.0 / abs(z), "inv_z"
-    if radius >= 1.0:
-        raise NonConvergence(f"no usable 2F1 transformation for z = {z}")
-    if series == "pfaff":
-        return cpow(1.0 - z, -a) * _hyp2f1_series(a, c - b, c, w)
-    if series == "inv_z":
-        return _hyp2f1_inv_z(a, b, c, z)
-    return _hyp2f1_series(a, b, c, z)
+        return cpow(1.0 - z, -a) * _pfq_series((a, c - b), (c,), w)
+    # 1/z and 1-z, argument w: as e = a - b, resp. c - a - b, nears an
+    # integer their two terms cancel, losing about 1e-16/d, and 1e-15 |w|/d^2
+    # for a nonzero integer, at a distance d.  e is formed once, so that both
+    # terms see the same value; declined arguments go to the continuation.
+    g = gamma
+    e, w = a - b, 1.0 / z
+    if abs(w) < 0.95 and _near_integer(e, max(1e-6, math.sqrt(1e-5 * abs(w)))) is None:
+        return (g(c) * g(-e) / (g(b) * g(c - a)) * cpow(-z, -a)
+                * _pfq_series((a, 1.0 - c + a), (1.0 + e,), w)
+                + g(c) * g(e) / (g(a) * g(c - b)) * cpow(-z, -b)
+                * _pfq_series((b, 1.0 - c + b), (1.0 - e,), w))
+    e, w = c - a - b, 1.0 - z
+    if abs(w) < 0.95 and _near_integer(e, max(1e-6, math.sqrt(1e-5 * abs(w)))) is None:
+        return (g(c) * g(e) / (g(c - a) * g(c - b)) * _pfq_series((a, b), (1.0 - e,), w)
+                + g(c) * g(-e) / (g(a) * g(b)) * cpow(w, e)
+                * _pfq_series((c - a, c - b), (1.0 + e,), w))
+    return _hyp2f1_continue(a, b, c, z)
 
 
-def _hyp2f1_inv_z(a, b, c, z):
-    """2F1 through the 1/z transformation; needs a - b non-integer."""
-    w = 1.0 / z
-    t1 = (
-        gamma(c) * gamma(b - a) / (gamma(b) * gamma(c - a))
-        * cpow(-z, -a)
-        * _hyp2f1_series(a, 1.0 - c + a, 1.0 - b + a, w)
-    )
-    t2 = (
-        gamma(c) * gamma(a - b) / (gamma(a) * gamma(c - b))
-        * cpow(-z, -b)
-        * _hyp2f1_series(b, 1.0 - c + b, 1.0 - a + b, w)
-    )
-    return t1 + t2
+def _hyp2f1_continue(a, b, c, z):
+    """2F1 by Taylor steps along z(1-z)F'' + (c - (a+b+1)z)F' - abF = 0.
+
+    F and F' come from the direct series at z0 = (1 +- i)/2, on z's side of
+    the real axis.  Each step h from z0 towards z is at most half the
+    distance to the nearer singular point, 0 or 1, and sums F's Taylor
+    series about z0, whose coefficients obey
+    f_{n+2} = -[((1-2z0)n + c - (a+b+1)z0)(n+1) f_{n+1} - (n+a)(n+b) f_n]
+              / (z0(1-z0)(n+1)(n+2)),
+    as g_n = f_n h^n, which fall at least like 2^-n.  Each step adds up to
+    about REL_TOL of error; past 40 steps it raises NonConvergence.
+    """
+    z0 = complex(0.5, -0.5 if z.imag < 0 else 0.5)
+    f = _pfq_series((a, b), (c,), z0)
+    df = a * b / c * _pfq_series((a + 1.0, b + 1.0), (c + 1.0,), z0)
+    for _ in range(40):
+        h = z - z0
+        reach = 0.5 * min(abs(z0), abs(1.0 - z0))
+        last = abs(h) <= reach
+        if not last:
+            # end on a representable point, so that F is known exactly there
+            h = z0 + h * (reach / abs(h)) - z0
+        p = z0 * (1.0 - z0)
+        s, t, u = (1.0 - 2.0 * z0) * h / p, (c - (a + b + 1.0) * z0) * h / p, h * h / p
+        g0, g1 = f, df * h
+        f, dh = g0 + g1, g1  # F and h F' at z0 + h
+        for n in range(MAX_TERMS):
+            g0, g1 = g1, (u * (n + a) * (n + b) * g0 / (n + 1.0) - (s * n + t) * g1) / (n + 2.0)
+            f += g1
+            dh += (n + 2) * g1
+            if (n + 2) * (abs(g0) + abs(g1)) <= REL_TOL * (abs(f) + abs(dh)):
+                break
+        else:
+            raise NonConvergence(f"2F1 Taylor step at {z0} did not converge")
+        if last:
+            return f
+        z0 += h
+        df = dh / h
+    raise NonConvergence(f"2F1 continuation needs more than 40 steps to reach z = {z}")
 
 
 def pfq(numer, denom, z) -> complex:
     """Generalized hypergeometric pFq by truncated series.
 
-    2F1 arguments with |z| >= 0.9 are routed through the linear
-    transformations; other (p, q) pairs must converge termwise.
+    2F1 goes to ``hyp2f1``; other (p, q) pairs must converge termwise.
     """
     numer = [complex(v) for v in numer]
     denom = [complex(v) for v in denom]
@@ -298,11 +300,7 @@ def pfq(numer, denom, z) -> complex:
         if n is not None and n <= 0:
             raise PoleError(f"pFq denominator parameter {b} is a non-positive integer")
     if len(numer) == 2 and len(denom) == 1:
-        if abs(z) >= 0.9:
-            return hyp2f1(numer[0], numer[1], denom[0], z)
-        return _hyp2f1_series(numer[0], numer[1], denom[0], z)
-    if z == 0:
-        return 1.0 + 0.0j
+        return hyp2f1(numer[0], numer[1], denom[0], z)
     total = _pfq_series(numer, denom, z)
     if not cmath.isfinite(total):
         raise Overflow(f"pFq sum is not finite at z = {z}")

@@ -145,6 +145,58 @@ def test_2f1_just_outside_unit_circle_vs_mpmath():
     assert rel_err(sf.hyp2f1(a, b, c, z), want) < 1e-10
 
 
+@pytest.mark.parametrize("z", [0.3, 0.95 + 0.1j])
+def test_2f1_near_nonpositive_integer_a_vs_mpmath(z):
+    # a = -2 + 1e-10 is no polynomial: the series does not terminate
+    a, b, c = -2 + 1e-10, 0.5, 1.5
+    want = complex(mp.hyp2f1(a, b, c, mp.mpc(z)))
+    assert rel_err(sf.hyp2f1(a, b, c, z), want) < 1e-10
+
+
+@pytest.mark.parametrize("a, b, c, z", [
+    (0.3, 1.3 - 5e-9, 1.9, 10 * cmath.exp(2j)),  # a - b near -1: 1/z cancels
+    (0.3, 1.3 - 1e-6, 1.9, 10 * cmath.exp(2j)),
+    (1.0, 0.75, 1.75 + 2e-9, 0.95 + 0.3j),       # c - a - b near 0: 1-z cancels
+])
+def test_2f1_declined_transformations_vs_mpmath(a, b, c, z):
+    want = complex(mp.hyp2f1(a, b, c, mp.mpc(z)))
+    assert rel_err(sf.hyp2f1(a, b, c, z), want) < 1e-10
+
+
+_E3 = cmath.exp(1j * math.pi / 3)
+_E6 = cmath.exp(1j * math.pi / 6)
+
+
+# The regions of the hyp2f1 docstring that no other test reaches: "value"
+# must meet the bound, "raises" must raise NonConvergence, and "either" may
+# do both but never return a value outside the bound.
+@pytest.mark.parametrize("a, b, c, z, bound, outcome", [
+    (-3.0, 0.5, 1.5, 5.0 + 1.0j, 1e-10, "value"),                # terminating
+    (0.3, 0.7, 1.9, _E3, 1e-10, "value"),                        # continuation
+    (0.3, 0.7, 1.9, _E3.conjugate(), 1e-10, "value"),
+    (0.3, 0.7, 1.9, 0.4068 + 0.9026j, 1e-10, "value"),
+    (0.5, 1.5, 2.3, 1.05 * _E3, 1e-10, "value"),                 # a - b integer
+    (0.5, 1.5, 2.3, 1.05 * _E3.conjugate(), 1e-10, "value"),
+    (1.0, 2.0, 3.5, 1.05 * _E3, 1e-10, "value"),
+    (1.0, 2.0, 3.5, 1.05 * _E3.conjugate(), 1e-10, "value"),
+    (1.0, 0.75, 1.75, _E6, 1e-10, "value"),                      # c = a + b
+    (1.0, 0.75, 1.75, _E6.conjugate(), 1e-10, "value"),
+    (1.0, 0.5, 1.5, _E6, 1e-10, "value"),
+    (1.0, 0.5, 1.5, _E6.conjugate(), 1e-10, "value"),
+    (1.0, 0.995, 1.9, -7e19, 1e-13, "value"),                    # 1/z far out
+    (1.0, 1.0, 2.5, -1e10, None, "raises"),                      # past 40 steps
+    (1.0, 0.75, 1.75, 1 - 1e-6 * (1 - 1j), 1e-10, "either"),
+])
+def test_2f1_region_map_vs_mpmath(a, b, c, z, bound, outcome):
+    try:
+        got = sf.hyp2f1(a, b, c, z)
+    except NonConvergence:
+        assert outcome != "value"
+        return
+    assert outcome != "raises"
+    assert rel_err(got, complex(mp.hyp2f1(a, b, c, mp.mpc(z)))) < bound
+
+
 def test_pfq_bad_denominator_parameter():
     with pytest.raises(PoleError):
         sf.pfq((1.0, 2.0), (-1.0,), 0.3)
