@@ -146,10 +146,7 @@ def coupling_angle_slope(g: float, theta: float, n: int) -> float:
     d1 = g * math.cos(theta) - 1.0
     if abs(dn) < 1e-12 or abs(d1) < 1e-12:
         raise PoleError("slope undefined where g^n cos(n theta) = 1 or g cos(theta) = 1")
-    phi = (2.0 * theta
-           + math.atan(g ** n * math.sin(n * theta) / dn)
-           + math.atan(g * math.sin(theta) / d1))
-    return (-1.0) ** n * math.tan(phi)
+    return (-1.0) ** n * math.tan(_portrait_angle(g, theta, n))
 
 
 def _portrait_angle(g: float, theta: float, n: int) -> float:

@@ -248,8 +248,7 @@ def _run_cycle(cfg: RunConfig) -> int:
     from . import analysis
     p = cfg.params
     (path,) = _need(p, "input")
-    pts = [complex(x, y)
-           for x, y in svg._read_points(path, ("Re g_inv", "Im g_inv"))]
+    pts = [complex(x, y) for x, y in svg._read_points(path)]
     report = analysis.detect_limit_cycle(pts, tol=p.get("tol", 1e-3))
     _write_json(cfg.out_path, {
         "closed": report.closed,

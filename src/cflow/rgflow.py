@@ -7,12 +7,13 @@ ground-state energies, effective-potential contour formulas, the
 continued-fraction propagator recursion, and third-order corrections.
 
 Flow contours are polylines in the complex tau plane; straight-ray contours
-tau(s) = s e^{i alpha} are built with `ray_contour`.
+tau(s) = s e^{i alpha} are built with `ray_contour`.  The log-action tail is
+a 2F1 continued across its cut by the closed-form jump, so the module needs
+no numpy.
 """
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from fractions import Fraction
 from . import specfun as sf
 from .errors import (BranchCollision, BranchCut, DivisionByZero,
                      DomainError, ExceptionalPoint, NoConvergence, Overflow,
-                     RangeError)
+                     PoleError, RangeError)
 from .integrate import solve_rk4
 
 
@@ -72,10 +73,6 @@ def ray_contour(angle: float, s_max: float, n_points: int):
         raise DomainError("contour needs at least two points")
     e = cmath.exp(1j * angle)
     return [s_max * k / (n_points - 1) * e for k in range(n_points)]
-
-
-def _trajectory_from_samples(taus, samples):
-    return Trajectory(tuple(FlowState(t, g, gam) for t, (g, gam) in zip(taus, samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +180,15 @@ BLOWUP_G = 1e12
 _BLOWUP = (BLOWUP_G, "inverse propagator")
 
 
+def _flow(rhs, init: FlowState, contour) -> Trajectory:
+    """Integrate (g_inv, gamma)' = rhs along the contour's nodes."""
+    taus = [complex(t) for t in contour]
+    if len(taus) < 2:
+        raise DomainError("contour needs at least two points")
+    samples = solve_rk4(rhs, taus, [init.g_inv, init.gamma], blowup=_BLOWUP)
+    return Trajectory(tuple(FlowState(t, g, gam) for t, (g, gam) in zip(taus, samples)))
+
+
 def n_power_flow(init: FlowState, N: int, contour) -> Trajectory:
     """Flow dg/dtau = g^2 - N^2 gamma^{2N}, dgamma/dtau = gamma g."""
     if N < 1:
@@ -192,11 +198,7 @@ def n_power_flow(init: FlowState, N: int, contour) -> Trajectory:
         g, gam = y
         return (g * g - N * N * gam ** (2 * N), gam * g)
 
-    taus = [complex(t) for t in contour]
-    if len(taus) < 2:
-        raise DomainError("contour needs at least two points")
-    samples = solve_rk4(rhs, taus, [init.g_inv, init.gamma], blowup=_BLOWUP)
-    return _trajectory_from_samples(taus, samples)
+    return _flow(rhs, init, contour)
 
 
 def lr_flow(init: FlowState, N: int, nu: float, contour) -> Trajectory:
@@ -216,11 +218,7 @@ def lr_flow(init: FlowState, N: int, nu: float, contour) -> Trajectory:
         dgam = sign * gam * s * s * g / N
         return (dg, dgam)
 
-    taus = [complex(t) for t in contour]
-    if len(taus) < 2:
-        raise DomainError("contour needs at least two points")
-    samples = solve_rk4(rhs, taus, [init.g_inv, init.gamma], blowup=_BLOWUP)
-    return _trajectory_from_samples(taus, samples)
+    return _flow(rhs, init, contour)
 
 
 def lr_beta_closed_form(g_inv: complex, k: complex, N: int, nu: float,
@@ -264,53 +262,44 @@ def gamma_tilde(beta: complex, k: complex, N, nu: float) -> complex:
 # log-action and its saddle points
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _arc_nodes():
-    """240-point Gauss-Legendre rule, built on first use to keep imports cheap."""
-    import numpy as np
-    return np.polynomial.legendre.leggauss(240)
-
-
 def _series_tail(w: complex, b: float) -> complex:
     """sum_{m>=1} w^m/(m+b) = w/(1+b) 2F1(1, 1+b; 2+b; w), principal branch."""
     return w / (1.0 + b) * sf.hyp2f1(1.0, 1.0 + b, 2.0 + b, w)
 
 
-def _series_tail_arc(w: complex, b: float) -> complex:
-    """Same function continued analytically across the cut [1, inf).
-
-    Integral representation w * int_0^1 t^b/(1 - w t) dt with the t-contour
-    bowed into the upper half plane, so the value is analytic in a full strip
-    around the real w axis for Re w > 1 (it agrees with the principal branch
-    for Im w > 0).  Endpoint substitution s = sigma^2 absorbs the t^b
-    singularity for b > -1.
-    """
-    import numpy as np
-    nodes, weights = _arc_nodes()
-    sig = 0.5 * (nodes + 1.0)
-    wts = 0.5 * weights
-    s = sig * sig
-    t = s + 0.5j * s * (1.0 - s)
-    dt_ds = 1.0 + 0.5j * (1.0 - 2.0 * s)
-    integrand = np.exp(b * np.log(t, where=(t != 0), out=np.zeros_like(t))) \
-        / (1.0 - w * t) * dt_ds * 2.0 * sig
-    integrand[sig == 0] = 0.0
-    return w * complex(np.sum(wts * integrand))
-
-
 def _tail(w: complex, b: float) -> complex:
+    """T(w) = w int_0^1 t^b/(1 - w t) dt, continued from above across [1, inf).
+
+    Outside the strip Re w > 1, -0.6 < Im w <= 0 this is the principal
+    branch.  Inside it the pole t = 1/w has crossed the path, and its residue
+    adds the jump of 2F1 across the cut, 2 pi i w^-b (DLMF 15.2(i)); on the
+    cut itself the value is the limit from above.  So the cut of T runs from
+    w = 1 straight down to 1 - 0.6i and then along Im w = -0.6.  At b = -1
+    the power m = 1 carries a divergent 1/(b+1) weight and is dropped: the
+    remaining series sums to -w log(1 - w).  T diverges at w = 1.
+    """
+    if w == 1:
+        raise PoleError("log-action tail diverges at w = 1")
     if b == -1.0:
-        # power m = 1 carries a divergent 1/(b+1) weight; the remaining series
-        # sums to -w log(1 - w).
-        return -w * sf.clog(1.0 - w)
-    if w.real > 0.9 and abs(w.imag) < 0.6:
-        return _series_tail_arc(w, b)
-    return _series_tail(w, b)
+        principal = -w * sf.clog(1.0 - w)  # from below on the cut
+    elif w.imag == 0 and w.real > 1.0:
+        # hyp2f1 raises on the cut; the continuation starts at (1 + i)/2
+        return w / (1.0 + b) * sf._hyp2f1_continue(1.0, 1.0 + b, 2.0 + b, w)
+    else:
+        principal = _series_tail(w, b)
+    if w.real > 1.0 and -0.6 < w.imag <= 0.0:
+        return principal + 2j * math.pi * sf.cpow(w, -b)
+    return principal
 
 
 def log_action(g_inv: complex, gamma: float, N: int, nu: complex) -> complex:
     """ln(S_eff/S_0) = u (N - T(w)) with u = sin(nu/N), w = c u^{2-N},
-    c = -g_inv N e^{i N pi/2} / gamma^N, T(w) = sum_{m>=1} w^m/(m + 1/(2-N))."""
+    c = -g_inv N e^{i N pi/2} / gamma^N, T(w) = sum_{m>=1} w^m/(m + 1/(2-N)).
+
+    T is continued from above across [1, inf), where the saddles w* = N/2
+    (N != 3) lie; its cut runs from w = 1 down to 1 - 0.6i and along Im w = -0.6
+    (see ``_tail``).  Raises PoleError where w = 1.
+    """
     if N == 2:
         raise DomainError("log-action family is degenerate at N = 2")
     if gamma <= 0:

@@ -89,8 +89,11 @@ def gamma(s: complex) -> complex:
     if n is not None and n <= 0:
         raise PoleError(f"gamma pole at s = {s}")
     if s.real < 0.5:
-        # Reflection formula.
-        return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
+        # Reflection formula, with sin(pi s) = (-1)^k sin(pi (s - k)): s - k is
+        # exact near the pole s = k, so the sine keeps its digits there.
+        k = round(s.real)
+        sin = cmath.sin(math.pi * (s - k))
+        return math.pi / ((-sin if k % 2 else sin) * gamma(1.0 - s))
     z = s - 1.0
     x = complex(_LANCZOS[0])
     for i in range(1, len(_LANCZOS)):

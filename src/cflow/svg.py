@@ -1,6 +1,6 @@
 """Minimal deterministic SVG rendering of trajectory CSV files.
 
-Each CSV supplies one polyline from a pair of real/imaginary columns; an
+Each CSV supplies one polyline from its Re/Im g_inv columns; an
 optional overlay CSV adds a second polyline with a distinct stroke.  Rows
 with non-finite entries (divergence markers) are skipped.  Output bytes
 depend only on the input data.
@@ -9,28 +9,29 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from .errors import SchemaError
 
 _VIEW = 600.0
 _PAD = 0.05
 _STROKES = ("#1f77b4", "#d62728")
+_COLUMNS = ("Re g_inv", "Im g_inv")
 
 
-def _read_points(path: str, columns: Tuple[str, str]):
+def _read_points(path: str):
     pts = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty CSV")
-        for col in columns:
+        for col in _COLUMNS:
             if col not in reader.fieldnames:
                 raise SchemaError(f"{path}: missing column {col!r}")
         for row in reader:
             try:
-                x = float(row[columns[0]])
-                y = float(row[columns[1]])
+                x = float(row[_COLUMNS[0]])
+                y = float(row[_COLUMNS[1]])
             except (TypeError, ValueError):
                 continue
             if math.isfinite(x) and math.isfinite(y):
@@ -66,15 +67,11 @@ def _polyline(pts, to_px, stroke, trace_id):
 
 
 def render_svg(traj_csv: str, out_path: str,
-               overlay_csv: Optional[str] = None,
-               columns: Sequence[str] = ("Re g_inv", "Im g_inv")) -> None:
-    """Render one or two trajectory CSVs as polylines with axes."""
-    columns = tuple(columns)
-    if len(columns) != 2:
-        raise SchemaError("exactly two columns are required")
-    traces = [_read_points(traj_csv, columns)]
+               overlay_csv: Optional[str] = None) -> None:
+    """Render the g_inv columns of one or two trajectory CSVs as polylines."""
+    traces = [_read_points(traj_csv)]
     if overlay_csv is not None:
-        traces.append(_read_points(overlay_csv, columns))
+        traces.append(_read_points(overlay_csv))
 
     to_px, (x0, x1, y0, y1) = _transform([p for t in traces for p in t])
     body = [f'<svg xmlns="http://www.w3.org/2000/svg" '

@@ -394,9 +394,8 @@ print("ok")
 
 
 def test_cold_flow_eval_wetterich_do_not_import_numpy(tmp_path):
-    # numpy costs about half of a cold cflow process; flow, eval and
-    # wetterich run without it, and the log-action arc quadrature loads it
-    # at the call
+    # numpy costs about half of a cold cflow process; flow, eval,
+    # wetterich and the log-action run without it
     script = """
 import cmath, math, sys
 import cflow.cli
@@ -416,11 +415,14 @@ for argv in runs:
 loaded = sorted(m for m in sys.modules if m.startswith("numpy"))
 assert not loaded, loaded[:5]
 from cflow import rgflow
-# arc branch: w = 2 + 0.05i, where the arc agrees with the principal branch
+# w = 2 + 0.05i, in the strip around the cut, where the continued tail is
+# the principal branch
 N, u, w = 4, 0.75, 2.0 + 0.05j
 got = rgflow.log_action(-w * u * u / N, 1.0, N, N * math.asin(u))
 want = u * (N - rgflow._series_tail(w, -0.5))
 assert abs(got - want) < 1e-9 * abs(want), (got, want)
+loaded = sorted(m for m in sys.modules if m.startswith("numpy"))
+assert not loaded, loaded[:5]
 print("ok")
 """
     env = dict(os.environ, PYTHONPATH=_SRC)

@@ -9,6 +9,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from scipy.integrate import quad
 
 from cflow import rgflow as rg
 from cflow.errors import (BlowUp, BranchCollision, BranchCut, DivisionByZero,
-                          DomainError, ExceptionalPoint, RangeError,
+                          DomainError, ExceptionalPoint, PoleError, RangeError,
                           StepSizeUnderflow)
 from cflow.integrate import _dp_step, solve_rk4
 
@@ -377,19 +378,25 @@ class TestSaddlePoints:
         with pytest.raises(DomainError):
             rg.saddle_points(0.3, 0.7, 2, [0])
 
-    def test_series_tail_branches_agree_inside_disc(self):
-        for w in (0.3 + 0.1j, -0.5 + 0.4j):
-            a = rg._series_tail(w, -0.5)
-            b = rg._series_tail_arc(w, -0.5)
-            assert abs(a - b) < 1e-10
-
-    def test_series_tail_arc_continues_principal_from_above(self):
-        # oracle: the defining integral over the straight contour, valid for
-        # Im w > 0 (pole at t = 1/w sits below the path); substitution
-        # t = sigma^2 removes the endpoint singularity
-        w = 2.0 + 0.05j
-        val = w * cquad(lambda s: 2.0 / (1.0 - w * s * s), 0.0, 1.0)
-        assert abs(rg._series_tail_arc(w, -0.5) - val) < 1e-9
+    @pytest.mark.parametrize("b", [1.0, -1.0, -0.5, -1.0 / 3.0, -0.25])
+    def test_tail_continues_principal_from_above_across_the_cut(self, b):
+        # oracle: w int_0^1 t^b/(1 - w t) dt along 0 -> 2i -> 1 + 2i -> 1,
+        # which passes above the pole t = 1/w for every w below; at b = -1
+        # the divergent power m = 1 is dropped.  1.2 - 0.01i and 1.2 - 0.2i
+        # lie on either side of the curve where a quadrature on a fixed
+        # bowed contour jumped back to the principal branch.
+        for w in (1.2 - 0.01j, 1.2 - 0.2j, 1.05 + 0.0j, 1.5 + 0.3j, 2.0 + 0.05j,
+                  2.7 - 0.55j, 3.3 + 0.0j, 4.0 - 0.35j, 4.0 + 0.58j):
+            with mp.workdps(20):
+                wm = mp.mpc(w)
+                if b == -1.0:
+                    f = lambda t: wm * wm / (1 - wm * t)  # noqa: E731
+                else:
+                    f = lambda t: wm * t ** b / (1 - wm * t)  # noqa: E731
+                want = complex(mp.quad(f, [0, 2j, 1 + 2j, 1]))
+            assert abs(rg._tail(w, b) - want) < 1e-10 * abs(want), w
+        with pytest.raises(PoleError):
+            rg._tail(1.0 + 0.0j, b)
 
 
 # ---------------------------------------------------------------------------

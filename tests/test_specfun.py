@@ -48,6 +48,14 @@ def test_gamma_pole_at_nonpositive_integer_origin():
         sf.upper_incomplete_gamma(0.0, 0.0)
 
 
+@pytest.mark.parametrize("s", [-3 - 1e-9, -1 - 1e-9, -10 - 1e-6, -3 + 1e-9j])
+def test_complete_gamma_next_to_poles_vs_mpmath(s):
+    # the reflection formula's sin(pi s) must keep its digits next to the
+    # poles, where pi s alone rounds away most of s - round(s)
+    want = complex(mp.gamma(mp.mpc(s)))
+    assert rel_err(sf.gamma(s), want) < 1e-13
+
+
 def test_gamma_negative_real_argument():
     # The continued analytic function at negative z, principal branch.
     want = complex(mp.gammainc(mp.mpf("0.4"), mp.mpf("-3.0")))

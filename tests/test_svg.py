@@ -84,10 +84,3 @@ class TestRenderSvg:
         csv.write_text("a,b\n1,2\n")
         with pytest.raises(SchemaError):
             render_svg(str(csv), str(tmp_path / "x.svg"))
-
-    def test_custom_columns(self, tmp_path):
-        csv = tmp_path / "traj.csv"
-        _write_circle_csv(csv)
-        out = tmp_path / "plot.svg"
-        render_svg(str(csv), str(out), columns=("Re gamma", "Im gamma"))
-        assert "<polyline" in out.read_text()
