@@ -378,6 +378,22 @@ class TestSaddlePoints:
         with pytest.raises(DomainError):
             rg.saddle_points(0.3, 0.7, 2, [0])
 
+    def test_series_tail_branches_agree_inside_disc(self):
+        # oracle: the defining power series sum_{m>=1} w^m/(m+b), summed
+        # directly; inside the unit disc the continued tail is the principal one
+        for w in (0.3 + 0.1j, -0.5 + 0.4j):
+            want = sum(w ** m / (m - 0.5) for m in range(1, 400))
+            assert abs(rg._series_tail(w, -0.5) - want) < 1e-10
+            assert abs(rg._tail(w, -0.5) - want) < 1e-10
+
+    def test_series_tail_arc_continues_principal_from_above(self):
+        # oracle: the defining integral over the straight contour, valid for
+        # Im w > 0 (pole at t = 1/w sits below the path); substitution
+        # t = sigma^2 removes the endpoint singularity
+        w = 2.0 + 0.05j
+        val = w * cquad(lambda s: 2.0 / (1.0 - w * s * s), 0.0, 1.0)
+        assert abs(rg._tail(w, -0.5) - val) < 1e-9
+
     @pytest.mark.parametrize("b", [1.0, -1.0, -0.5, -1.0 / 3.0, -0.25])
     def test_tail_continues_principal_from_above_across_the_cut(self, b):
         # oracle: w int_0^1 t^b/(1 - w t) dt along 0 -> 2i -> 1 + 2i -> 1,
