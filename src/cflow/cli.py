@@ -21,7 +21,7 @@ from . import rgflow, specfun, svg
 from .config import (RunConfig, SUBCOMMANDS, canonical_echo, echo_path,
                      parse_config)
 from .errors import (CflowError, FlowStopped, NoConvergence, Overflow,
-                     ParseError, SchemaError, ValidationError)
+                     ParseError, ValidationError)
 
 _CSV_HEADER = ("s,Re tau,Im tau,Re g_inv,Im g_inv,"
                "Re gamma,Im gamma,invariant")
@@ -106,11 +106,14 @@ def _run_eval(cfg: RunConfig) -> int:
     elif fn.startswith("bessel_"):
         (nu,) = _need(p, "nu")
         val = specfun.bessel(fn[len("bessel_"):], nu, z)
+    elif z.imag != 0:  # erfi and kelvin_bei take a real argument
+        raise ValidationError(f"{fn} takes a real argument; z_im must be 0",
+                              key="z_im")
     elif fn == "erfi":
-        val = complex(specfun.erfi(float(p.get("z_re", 0.0))))
+        val = complex(specfun.erfi(z.real))
     else:  # kelvin_bei
         (nu,) = _need(p, "nu")
-        val = complex(specfun.kelvin_bei(nu, float(p.get("z_re", 0.0))))
+        val = complex(specfun.kelvin_bei(nu, z.real))
     _write_json(cfg.out_path, {"fn": fn, "value": _cnum(val)})
     return 0
 
@@ -301,8 +304,7 @@ def _run_wetterich(cfg: RunConfig) -> int:
     mode, omega, Lam = _need(p, "mode", "omega", "Lambda")
     params = rgflow.WetterichParams(omega=omega, Lambda=Lam,
                                     gamma=p.get("gamma", 0.0),
-                                    delta=p.get("delta", 0.0),
-                                    N=int(p.get("N", 1)))
+                                    delta=p.get("delta", 0.0))
     val = rgflow.wetterich_ground_energy(params, mode)
     _write_json(cfg.out_path, {"mode": mode, "energy": _cnum(val)})
     return 0
@@ -373,9 +375,6 @@ def main(argv=None) -> int:
         sub, config_file, overrides, svg_path = parsed
         config = parse_config(config_file, overrides, sub)
         return run(config, svg_path)
-    except (ParseError, ValidationError, SchemaError) as exc:
-        sys.stderr.write(f"cflow: {exc}\n")
-        return 1
     except (NoConvergence, FlowStopped) as exc:
         sys.stderr.write(f"cflow: diverged: {exc}\n")
         return 2

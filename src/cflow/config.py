@@ -64,7 +64,6 @@ _SCHEMAS = {
         "mode": ("choice", ("real_osc", "perturbed", "complex_osc")),
         "omega": ("float", None), "Lambda": ("float", None),
         "gamma": ("float", None), "delta": ("float", None),
-        "N": ("int", None),
     },
 }
 
@@ -104,8 +103,6 @@ def _convert(sub: str, key: str, raw: str):
             val = tuple(float(p) for p in raw.split(",") if p.strip() != "")
             if not val:
                 raise ValueError("empty list")
-        elif tag == "choice":
-            val = raw
         else:
             val = raw
     except ValueError:

@@ -59,17 +59,22 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
 
     The relation for each n >= 0 is
 
-        c_{n+2} + c_{n+2N} (n-2N)/((n+1)(n+2)) e^{-2(N+1)theta}
+        c_{n+2} + k_N c_{n+2N} (n-2N)/((n+1)(n+2)) e^{-2(N+1)theta}
           = [c_{n-2} e^{-2iN theta} - c_{n-4N-2} e^{-i(4N+2)theta}/(2N+1)^2
              + (i gamma)^{2N} c_{n-2N} + E c_n] / ((n+1)(n+2))
 
-    with c_m = 0 for m < 0 or m > n_max.  For N = 0 this is an explicit
-    forward recurrence (exact in floats); for N >= 1 the unknowns c_{n+2}
-    and c_{n+2N} are coupled, so all truncated relations are assembled into
-    one banded linear system over c_2..c_{n_max}.
+    with c_m = 0 for m < 0 or m > n_max.  For N = 0, k_0 = 1 and the
+    relation is an explicit forward recurrence in c_{n+2} (exact in floats;
+    at gamma = 0, theta = 0 it is the Hermite recurrence c_{n+2} =
+    c_n (E - n)/((n+1)(n+2))).  For N >= 1, k_N = 2 and the unknowns
+    c_{n+2} and c_{n+2N} are coupled, so the n_max - 1 truncated relations
+    over c_2..c_{n_max} are solved as one dense linear system, whose
+    O(n_max^2) memory bounds n_max to 2000.  Raises DomainError unless
+    2 <= n_max <= 2000, and SingularSystem for a singular system or a
+    non-finite solution.
     """
-    if n_max < 2:
-        raise DomainError("n_max must be at least 2")
+    if not 2 <= n_max <= 2000:
+        raise DomainError("n_max must be between 2 and 2000")
     N = params.N
     th = complex(theta_const)
     E = complex(params.E)
@@ -77,8 +82,7 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
     c0, c1 = complex(seeds[0]), complex(seeds[1])
 
     if N == 0:
-        # c_{n+2}(1 + n/((n+1)(n+2))) = [c_{n-2}(1 - e^{-2i th})... collapses:
-        # the x^2 and x^{4N+2} terms cancel at theta = 0; keep the general form.
+        # the c_{n-2} terms cancel at theta = 0; keep the general form
         coeffs = [c0, c1] + [0j] * (n_max - 1)
         e_alg = cmath.exp(-2.0 * th)        # e^{-2(N+1)theta}, N = 0
         e_m2 = cmath.exp(-2j * 0 * th)      # e^{-2iN theta} = 1
@@ -91,23 +95,20 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
         return SeriesSolution(tuple(coeffs), th, params)
 
     n_unknown = n_max - 1            # c_2 .. c_{n_max}
-    lower = 4 * N + 4
-    upper = max(2 * N - 2, 0)
-    ab = np.zeros((lower + upper + 1, n_unknown), dtype=complex)
+    A = np.zeros((n_unknown, n_unknown), dtype=complex)
     rhs = np.zeros(n_unknown, dtype=complex)
     e_alg = cmath.exp(-2.0 * (N + 1) * th)
     e_m2 = cmath.exp(-2j * N * th)
     e_m42 = cmath.exp(-1j * (4 * N + 2) * th)
 
     def add(row, m, val):
-        # unknown index m maps to column m-2; seeds fold into the RHS
+        # unknown c_m sits in column m-2; seeds fold into the RHS
         if m < 0 or m > n_max:
             return
         if m < 2:
             rhs[row] -= val * (c0 if m == 0 else c1)
             return
-        col = m - 2
-        ab[upper + row - col, col] += val
+        A[row, m - 2] += val
 
     for n in range(n_unknown):
         denom = (n + 1.0) * (n + 2.0)
@@ -119,15 +120,12 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
         add(n, n - 4 * N - 2, e_m42 / ((2.0 * N + 1) ** 2 * denom))
         add(n, n - 2 * N, -pot / denom)
         add(n, n, -E / denom)
-    # imported here, not at module level: loading scipy would dominate the
-    # start-up of every cflow process, and only this call needs it
-    from scipy.linalg import solve_banded
     try:
-        sol = solve_banded((lower, upper), ab, rhs)
+        sol = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(sol)):
-        raise SingularSystem("banded solve produced non-finite coefficients")
+        raise SingularSystem("dense solve produced non-finite coefficients")
     return SeriesSolution((c0, c1) + tuple(sol), th, params)
 
 

@@ -298,8 +298,11 @@ def log_action(g_inv: complex, gamma: float, N: int, nu: complex) -> complex:
 
     T is continued from above across [1, inf), where the saddles w* = N/2
     (N != 3) lie; its cut runs from w = 1 down to 1 - 0.6i and along Im w = -0.6
-    (see ``_tail``).  Raises PoleError where w = 1.
+    (see ``_tail``).  Raises DomainError for N < 1 or N = 2, and PoleError
+    where w = 1.
     """
+    if N < 1:
+        raise DomainError("N must be a positive integer")
     if N == 2:
         raise DomainError("log-action family is degenerate at N = 2")
     if gamma <= 0:
@@ -319,6 +322,8 @@ def saddle_points(g_inv: complex, gamma: float, N: int, n_range):
     series tail, and the root of w^2 - N w + N = 0 for the regularized tail
     at N = 3 (where the m = 1 series weight is divergent and dropped).
     """
+    if N < 1:
+        raise DomainError("N must be a positive integer")
     if N == 2:
         raise DomainError("saddle family is degenerate at N = 2")
     if gamma <= 0:

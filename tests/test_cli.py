@@ -261,6 +261,35 @@ class TestConfigFileAndErrors:
         assert err.startswith("cflow: overflow: ") and err.count("\n") == 1
         assert not (in_tmp / "o.out").exists()
 
+    @pytest.mark.parametrize("fn, extra", [
+        ("erfi", []), ("kelvin_bei", ["--nu", "0"])])
+    def test_real_argument_function_rejects_z_im(self, in_tmp, capsys, fn,
+                                                 extra):
+        # erfi and kelvin_bei take a real argument; a nonzero z_im must not
+        # be dropped silently
+        assert main(["eval", "--fn", fn, "--z_re", "1", "--z_im", "0.5",
+                     "--out", "e.json"] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflow: ") and "z_im" in err
+        assert err.count("\n") == 1
+        assert not (in_tmp / "e.json").exists()
+
+    def test_wetterich_rejects_N_key(self, in_tmp, capsys):
+        # no wetterich mode reads N, so the key is not in its schema
+        assert main(["wetterich", "--mode", "real_osc", "--omega", "1.0",
+                     "--Lambda", "1000", "--N", "2", "--out", "w.json"]) == 1
+        assert capsys.readouterr().err == "cflow: unknown key 'N' for wetterich\n"
+        assert not (in_tmp / "w.json").exists()
+
+    def test_oscillator_n_max_above_bound_exits_1_one_line(self, in_tmp, capsys):
+        # the dense Frobenius solve is bounded to n_max <= 2000
+        assert main(["oscillator", "--N", "1", "--gamma", "0.5",
+                     "--n_max", "5000", "--out", "c.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflow: ") and "n_max" in err
+        assert err.count("\n") == 1
+        assert not (in_tmp / "c.csv").exists()
+
     @pytest.mark.parametrize("start, end, n", [
         ("1e-310", "1e-310", "1"), ("0.5235832154763238", "1e300", "3")])
     def test_one_loop_t_underflow_exits_1_one_line(self, in_tmp, capsys,
@@ -373,17 +402,35 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 
 def test_cold_cli_run_does_not_import_scipy(tmp_path):
-    # scipy.linalg costs ~250 ms of a cold cflow process; only
-    # oscillator.frobenius_coeffs may import it, at the call
+    # cflow runs on numpy alone: no subcommand may load scipy, whose
+    # import would about double the start-up of a cold cflow process
     script = """
-import sys
+import math, sys
 import cflow.cli
-assert cflow.cli.main(["wetterich", "--mode", "real_osc", "--omega", "1.0",
-                       "--Lambda", "1000", "--out", "w.json"]) == 0
+rows = ["s,Re tau,Im tau,Re g_inv,Im g_inv,Re gamma,Im gamma,invariant"]
+rows += [f"{k},0.0,0.0,{math.cos(k / 10)},{math.sin(k / 10)},0.0,0.0,nan"
+         for k in range(64)]
+with open("circ.csv", "w") as fh:
+    fh.write("\\n".join(rows) + "\\n")
+runs = [
+    ["eval", "--fn", "bessel_k", "--nu", "1", "--z_re", "1.8", "--out", "k.json"],
+    ["oscillator", "--N", "1", "--gamma", "0.5", "--E_re", "1.0",
+     "--out", "c.csv"],
+    ["bethe", "--n", "2", "--N", "1", "--out", "r.json"],
+    ["flow", "--variant", "n-power", "--N", "2", "--n_points", "9",
+     "--out", "np.csv", "--svg", "np.svg"],
+    ["cycle", "--input", "circ.csv", "--out", "cyc.json"],
+    ["phase", "--N_list", "2,3", "--gamma", "0.5", "--out", "ph.csv"],
+    ["wetterich", "--mode", "real_osc", "--omega", "1.0", "--Lambda", "1000",
+     "--out", "w.json"],
+]
+assert sorted(argv[0] for argv in runs) == sorted(cflow.cli.SUBCOMMANDS)
+for argv in runs:
+    assert cflow.cli.main(argv) == 0, argv
+with open("c.csv") as fh:
+    assert len(fh.read().splitlines()) == 22
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-from cflow.oscillator import OscParams, frobenius_coeffs
-assert len(frobenius_coeffs(OscParams(1, 0.5, 1.0)).coeffs) == 21
 print("ok")
 """
     env = dict(os.environ, PYTHONPATH=_SRC)

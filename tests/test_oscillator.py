@@ -75,6 +75,19 @@ def test_banded_matches_dense_oracle(N, gamma, E, theta):
     assert np.max(np.abs(np.array(s.coeffs[2:]) - want)) < 1e-12
 
 
+@pytest.mark.parametrize("N", [0, 1])
+def test_n_max_above_bound_rejected(N):
+    # the dense N >= 1 solve needs O(n_max^2) memory, so n_max <= 2000
+    with pytest.raises(DomainError):
+        osc.frobenius_coeffs(osc.OscParams(N, 0.5, 1.0), n_max=2001)
+
+
+def test_n_max_at_bound_solves():
+    s = osc.frobenius_coeffs(osc.OscParams(1, 0.5, 1.0), n_max=2000)
+    assert len(s.coeffs) == 2001
+    assert all(cmath.isfinite(c) for c in s.coeffs)
+
+
 def test_series_tail_relations_small():
     # Residual of the truncated relation generating function on |x| <= 0.5:
     # only the unenforced tail relations contribute, and they must be tiny.

@@ -378,6 +378,14 @@ class TestSaddlePoints:
         with pytest.raises(DomainError):
             rg.saddle_points(0.3, 0.7, 2, [0])
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_non_positive_power_rejected(self, N):
+        # N = 0 divided by zero and N = -1 returned a number
+        with pytest.raises(DomainError):
+            rg.log_action(0.5j, 0.6, N, 0.9)
+        with pytest.raises(DomainError):
+            rg.saddle_points(0.3, 0.7, N, [0])
+
     def test_series_tail_branches_agree_inside_disc(self):
         # oracle: the defining power series sum_{m>=1} w^m/(m+b), summed
         # directly; inside the unit disc the continued tail is the principal one
