@@ -276,17 +276,13 @@ def _run_phase(cfg: RunConfig) -> int:
 
     points = analysis.phase_diagram_scan(N_list, gamma, E0, k, nu, n_max)
 
-    # the scan's joint power-law fit supplies the exponent; refit its points
-    # only for the r^2 it does not report
-    exponent = next((pt.exponent_fit for pt in points
-                     if pt.exponent_fit is not None), None)
     int_pts = [(pt.N, pt.scale) for pt in points
                if not pt.divergent and pt.scale > 0
                and abs(pt.N - round(pt.N)) < 1e-9]
-    r2 = None
-    if exponent is not None:
-        _, _, r2 = analysis.power_law_fit([q[0] for q in int_pts],
-                                          [q[1] for q in int_pts])
+    exponent = r2 = None
+    if len(int_pts) >= 3:
+        exponent, _, r2 = analysis.power_law_fit([q[0] for q in int_pts],
+                                                 [q[1] for q in int_pts])
     lines = ["N,scale,exponent_fit,divergent"]
     for pt in points:
         efit = _fmt(pt.exponent_fit) if pt.exponent_fit is not None else ""

@@ -70,8 +70,8 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
     c_{n+2} and c_{n+2N} are coupled, so the n_max - 1 truncated relations
     over c_2..c_{n_max} are solved as one dense linear system, whose
     O(n_max^2) memory bounds n_max to 2000.  Raises DomainError unless
-    2 <= n_max <= 2000, and SingularSystem for a singular system or a
-    non-finite solution.
+    2 <= n_max <= 2000, and SingularSystem for a singular system or
+    non-finite coefficients (either N).
     """
     if not 2 <= n_max <= 2000:
         raise DomainError("n_max must be between 2 and 2000")
@@ -92,41 +92,41 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
             rhs = (_c(coeffs, n - 2) * e_m2 - _c(coeffs, n - 2) * e_m42
                    + pot * coeffs[n] + E * coeffs[n])
             coeffs[n + 2] = (rhs / denom - coeffs[n] * n * e_alg / denom)
-        return SeriesSolution(tuple(coeffs), th, params)
+    else:
+        n_unknown = n_max - 1            # c_2 .. c_{n_max}
+        A = np.zeros((n_unknown, n_unknown), dtype=complex)
+        rhs = np.zeros(n_unknown, dtype=complex)
+        e_alg = cmath.exp(-2.0 * (N + 1) * th)
+        e_m2 = cmath.exp(-2j * N * th)
+        e_m42 = cmath.exp(-1j * (4 * N + 2) * th)
 
-    n_unknown = n_max - 1            # c_2 .. c_{n_max}
-    A = np.zeros((n_unknown, n_unknown), dtype=complex)
-    rhs = np.zeros(n_unknown, dtype=complex)
-    e_alg = cmath.exp(-2.0 * (N + 1) * th)
-    e_m2 = cmath.exp(-2j * N * th)
-    e_m42 = cmath.exp(-1j * (4 * N + 2) * th)
+        def add(row, m, val):
+            # unknown c_m sits in column m-2; seeds fold into the RHS
+            if m < 0 or m > n_max:
+                return
+            if m < 2:
+                rhs[row] -= val * (c0 if m == 0 else c1)
+                return
+            A[row, m - 2] += val
 
-    def add(row, m, val):
-        # unknown c_m sits in column m-2; seeds fold into the RHS
-        if m < 0 or m > n_max:
-            return
-        if m < 2:
-            rhs[row] -= val * (c0 if m == 0 else c1)
-            return
-        A[row, m - 2] += val
-
-    for n in range(n_unknown):
-        denom = (n + 1.0) * (n + 2.0)
-        add(n, n + 2, 1.0)
-        # The factor 2 comes from the underlying coupled equation; without it
-        # the truncated system is rank-deficient at N = 1 (row n = 0).
-        add(n, n + 2 * N, 2.0 * (n - 2.0 * N) / denom * e_alg)
-        add(n, n - 2, -e_m2 / denom)
-        add(n, n - 4 * N - 2, e_m42 / ((2.0 * N + 1) ** 2 * denom))
-        add(n, n - 2 * N, -pot / denom)
-        add(n, n, -E / denom)
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("dense solve produced non-finite coefficients")
-    return SeriesSolution((c0, c1) + tuple(sol), th, params)
+        for n in range(n_unknown):
+            denom = (n + 1.0) * (n + 2.0)
+            add(n, n + 2, 1.0)
+            # The factor 2 comes from the underlying coupled equation; without
+            # it the truncated system is rank-deficient at N = 1 (row n = 0).
+            add(n, n + 2 * N, 2.0 * (n - 2.0 * N) / denom * e_alg)
+            add(n, n - 2, -e_m2 / denom)
+            add(n, n - 4 * N - 2, e_m42 / ((2.0 * N + 1) ** 2 * denom))
+            add(n, n - 2 * N, -pot / denom)
+            add(n, n, -E / denom)
+        try:
+            sol = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from exc
+        coeffs = (c0, c1) + tuple(sol)
+    if not np.all(np.isfinite(coeffs)):
+        raise SingularSystem("Frobenius coefficients are not finite")
+    return SeriesSolution(tuple(coeffs), th, params)
 
 
 def convergence_ratio(params: OscParams, theta_const: complex, n: int, bigN: int) -> float:

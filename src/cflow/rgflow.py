@@ -8,8 +8,8 @@ continued-fraction propagator recursion, and third-order corrections.
 
 Flow contours are polylines in the complex tau plane; straight-ray contours
 tau(s) = s e^{i alpha} are built with `ray_contour`.  The log-action tail is
-a 2F1 continued across its cut by the closed-form jump, so the module needs
-no numpy.
+a power series near 0 and a finite sum of logarithms elsewhere, continued
+across its cut by the closed-form jump, so the module needs no numpy.
 """
 from __future__ import annotations
 
@@ -262,34 +262,49 @@ def gamma_tilde(beta: complex, k: complex, N, nu: float) -> complex:
 # log-action and its saddle points
 # ---------------------------------------------------------------------------
 
-def _series_tail(w: complex, b: float) -> complex:
-    """sum_{m>=1} w^m/(m+b) = w/(1+b) 2F1(1, 1+b; 2+b; w), principal branch."""
-    return w / (1.0 + b) * sf.hyp2f1(1.0, 1.0 + b, 2.0 + b, w)
-
-
 def _tail(w: complex, b: float) -> complex:
-    """T(w) = w int_0^1 t^b/(1 - w t) dt, continued from above across [1, inf).
+    """T(w) = sum_{m>=1} w^m/(m + b) for b = s/q = +-1/q, dropping m = -b.
 
-    Outside the strip Re w > 1, -0.6 < Im w <= 0 this is the principal
-    branch.  Inside it the pole t = 1/w has crossed the path, and its residue
-    adds the jump of 2F1 across the cut, 2 pi i w^-b (DLMF 15.2(i)); on the
-    cut itself the value is the limit from above.  So the cut of T runs from
-    w = 1 straight down to 1 - 0.6i and then along Im w = -0.6.  At b = -1
-    the power m = 1 carries a divergent 1/(b+1) weight and is dropped: the
-    remaining series sums to -w log(1 - w).  T diverges at w = 1.
+    The series for |w| <= 1/2; elsewhere, by Gauss's digamma theorem with
+    v = w^{1/q} and e_r = e^{2 pi i r/q}, T = -v^{-s} sum_{r<q} e_r^{-s}
+    log(1 - e_r v) - q [b > 0], the r = 0 log taken as log((1 - w)/sum_{j<q}
+    v^j) to keep its digits next to w = 1.  In the strip Re w > 1,
+    -0.6 < Im w <= 0 that log takes its branch from above, which adds the
+    jump 2 pi i w^{-b} (DLMF 15.2(i)) and continues T from above across
+    [1, inf): its cut runs from w = 1 down to 1 - 0.6i and along Im w = -0.6.
+    Raises PoleError at w = 1 and Overflow for non-finite w.
     """
     if w == 1:
         raise PoleError("log-action tail diverges at w = 1")
-    if b == -1.0:
-        principal = -w * sf.clog(1.0 - w)  # from below on the cut
-    elif w.imag == 0 and w.real > 1.0:
-        # hyp2f1 raises on the cut; the continuation starts at (1 + i)/2
-        return w / (1.0 + b) * sf._hyp2f1_continue(1.0, 1.0 + b, 2.0 + b, w)
-    else:
-        principal = _series_tail(w, b)
-    if w.real > 1.0 and -0.6 < w.imag <= 0.0:
-        return principal + 2j * math.pi * sf.cpow(w, -b)
-    return principal
+    if not cmath.isfinite(w):
+        raise Overflow("log-action tail argument is not finite")
+    if abs(w) <= 0.5:
+        total, power, m = 0j, w, 1
+        while abs(power) > 1e-17 * abs(total):
+            if m + b:
+                total += power / (m + b)
+            power, m = power * w, m + 1
+        return total
+    q, s = round(1.0 / abs(b)), (1 if b > 0 else -1)
+    v = w ** (1.0 / q)
+    # on the cut clog is the limit from below; in the strip move it above
+    jump = 2j * math.pi if w.real > 1.0 and -0.6 < w.imag <= 0.0 else 0.0
+    acc = sf.clog((1.0 - w) / sum(v ** j for j in range(q))) - jump
+    for r in range(1, q):
+        e = cmath.exp(2j * math.pi * r / q)
+        acc += e ** -s * cmath.log(1.0 - e * v)
+    return -v ** -s * acc - (q if s > 0 else 0)
+
+
+def _action_constant(g_inv: complex, gamma: float, N: int) -> complex:
+    """c = -g_inv N e^{i N pi/2} / gamma^N, for N >= 1, N != 2 and gamma > 0."""
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    if N == 2:
+        raise DomainError("log-action family is degenerate at N = 2")
+    if gamma <= 0:
+        raise DomainError("gamma must be positive")
+    return -complex(g_inv) * N * (1j ** N) / gamma ** N if g_inv else 0j
 
 
 def log_action(g_inv: complex, gamma: float, N: int, nu: complex) -> complex:
@@ -297,22 +312,18 @@ def log_action(g_inv: complex, gamma: float, N: int, nu: complex) -> complex:
     c = -g_inv N e^{i N pi/2} / gamma^N, T(w) = sum_{m>=1} w^m/(m + 1/(2-N)).
 
     T is continued from above across [1, inf), where the saddles w* = N/2
-    (N != 3) lie; its cut runs from w = 1 down to 1 - 0.6i and along Im w = -0.6
-    (see ``_tail``).  Raises DomainError for N < 1 or N = 2, and PoleError
-    where w = 1.
+    (N != 3) lie (see ``_tail``).  Raises DomainError for N < 1 or N = 2,
+    PoleError where w = 1, and Overflow where w or the value is not finite.
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
-    if N == 2:
-        raise DomainError("log-action family is degenerate at N = 2")
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
+    c = _action_constant(g_inv, gamma, N)
     u = cmath.sin(complex(nu) / N)
-    c = -complex(g_inv) * N * (1j ** N) / gamma ** N
     if u == 0:
         return 0.0 + 0.0j
     w = c * u ** (2 - N)
-    return u * (N - _tail(w, 1.0 / (2.0 - N)))
+    val = u * (N - _tail(w, 1.0 / (2.0 - N)))
+    if not cmath.isfinite(val):
+        raise Overflow("log-action leaves the double range")
+    return val
 
 
 def saddle_points(g_inv: complex, gamma: float, N: int, n_range):
@@ -322,21 +333,9 @@ def saddle_points(g_inv: complex, gamma: float, N: int, n_range):
     series tail, and the root of w^2 - N w + N = 0 for the regularized tail
     at N = 3 (where the m = 1 series weight is divergent and dropped).
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
-    if N == 2:
-        raise DomainError("saddle family is degenerate at N = 2")
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    if g_inv == 0:
-        u_star = 0.0 + 0.0j
-    else:
-        c = -complex(g_inv) * N * (1j ** N) / gamma ** N
-        if N == 3:
-            w_star = 0.5 * (3.0 + 1j * math.sqrt(3.0))
-        else:
-            w_star = complex(N / 2.0)
-        u_star = sf.cpow(w_star / c, 1.0 / (2.0 - N))
+    c = _action_constant(g_inv, gamma, N)
+    w_star = 0.5 * (3.0 + 1j * math.sqrt(3.0)) if N == 3 else complex(N / 2.0)
+    u_star = sf.cpow(w_star / c, 1.0 / (2.0 - N)) if g_inv else 0j
     if abs(u_star.imag) < 1e-14 and abs(u_star.real) > 1.0:
         raise BranchCut("arcsin argument on the real cut")
     asin_u = cmath.asin(u_star)

@@ -366,9 +366,9 @@ def bessel(kind: str, nu: float, z: complex) -> complex:
     """Bessel function of the given kind (J, Y, I or K), principal branch."""
     kind = kind.upper()
     if kind not in ("J", "Y", "I", "K"):
-        raise ValueError(f"unknown Bessel kind {kind!r}")
+        raise DomainError(f"unknown Bessel kind {kind!r}")
     if not math.isfinite(nu):
-        raise ValueError("order must be finite")
+        raise DomainError("order must be finite")
     z = complex(z)
     if z == 0 and kind in ("Y", "K"):
         raise PoleError(f"Bessel {kind} is singular at z = 0")
@@ -426,7 +426,7 @@ def kelvin_bei(nu: float, x: float) -> float:
 def erfi(x: float) -> float:
     """Imaginary error function erfi(x) = (2/sqrt(pi)) int_0^x exp(t^2) dt."""
     if not math.isfinite(x):
-        raise ValueError("erfi argument must be finite")
+        raise DomainError("erfi argument must be finite")
     if abs(x) > 26.6:
         raise Overflow(f"erfi({x}) exceeds double range")
     # Odd series: (2/sqrt(pi)) sum x^(2k+1) / (k! (2k+1)), always convergent.

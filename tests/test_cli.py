@@ -290,6 +290,17 @@ class TestConfigFileAndErrors:
         assert err.count("\n") == 1
         assert not (in_tmp / "c.csv").exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--gamma", "0.5", "--E_re", "1e300", "--n_max", "40"],
+        ["--gamma", "0", "--E_re", "1e200", "--n_max", "2000"]])
+    def test_oscillator_n0_overflow_exits_1_one_line(self, in_tmp, capsys, extra):
+        # the N = 0 forward recurrence overflows; it wrote inf/nan rows
+        assert main(["oscillator", "--N", "0", "--out", "c.csv"] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflow: ") and "not finite" in err
+        assert err.count("\n") == 1
+        assert not (in_tmp / "c.csv").exists()
+
     @pytest.mark.parametrize("start, end, n", [
         ("1e-310", "1e-310", "1"), ("0.5235832154763238", "1e300", "3")])
     def test_one_loop_t_underflow_exits_1_one_line(self, in_tmp, capsys,
@@ -463,10 +474,11 @@ loaded = sorted(m for m in sys.modules if m.startswith("numpy"))
 assert not loaded, loaded[:5]
 from cflow import rgflow
 # w = 2 + 0.05i, in the strip around the cut, where the continued tail is
-# the principal branch
+# the principal branch; want is mpmath's u (N - w/(1+b) 2F1(1, 1+b; 2+b; w))
+# at b = -1/2, 30 digits
 N, u, w = 4, 0.75, 2.0 + 0.05j
 got = rgflow.log_action(-w * u * u / N, 1.0, N, N * math.asin(u))
-want = u * (N - rgflow._series_tail(w, -0.5))
+want = 1.1725291733761727 - 3.31831597288311j
 assert abs(got - want) < 1e-9 * abs(want), (got, want)
 loaded = sorted(m for m in sys.modules if m.startswith("numpy"))
 assert not loaded, loaded[:5]

@@ -18,8 +18,8 @@ from scipy.integrate import quad
 
 from cflow import rgflow as rg
 from cflow.errors import (BlowUp, BranchCollision, BranchCut, DivisionByZero,
-                          DomainError, ExceptionalPoint, PoleError, RangeError,
-                          StepSizeUnderflow)
+                          DomainError, ExceptionalPoint, Overflow, PoleError,
+                          RangeError, StepSizeUnderflow)
 from cflow.integrate import _dp_step, solve_rk4
 
 
@@ -391,7 +391,6 @@ class TestSaddlePoints:
         # directly; inside the unit disc the continued tail is the principal one
         for w in (0.3 + 0.1j, -0.5 + 0.4j):
             want = sum(w ** m / (m - 0.5) for m in range(1, 400))
-            assert abs(rg._series_tail(w, -0.5) - want) < 1e-10
             assert abs(rg._tail(w, -0.5) - want) < 1e-10
 
     def test_series_tail_arc_continues_principal_from_above(self):
@@ -421,6 +420,41 @@ class TestSaddlePoints:
             assert abs(rg._tail(w, b) - want) < 1e-10 * abs(want), w
         with pytest.raises(PoleError):
             rg._tail(1.0 + 0.0j, b)
+
+    @pytest.mark.parametrize("b", [1.0, -1.0, -0.5, -1.0 / 3.0, -0.25, -0.125])
+    def test_tail_vs_mpmath(self, b):
+        # oracle: w/(1+b) 2F1(1, 1+b; 2+b; w) (-w log(1-w) at b = -1) at 30
+        # digits, plus the jump 2 pi i w^-b inside the strip; on the real cut
+        # it is taken at w + 1e-40i, the limit from above
+        angles = [2 * math.pi * k / 7 + 0.3 for k in range(7)] + [0.0, math.pi]
+        pts = [r * cmath.exp(1j * a) for r in (1e-9, 1e-3, 0.49, 0.51, 3.0, 1e3, 1e7)
+               for a in angles]
+        pts += [1 + d * cmath.exp(1j * a) for d in (1e-12, 1e-6) for a in angles]
+        pts += [1.01 + 0j, 2.0 + 0j, 50.0 + 0j, 1.5 - 0.3j, 3.0 - 1e-9j, 1.2 - 0.59j]
+        for w in pts:
+            with mp.workdps(30):
+                wm = mp.mpc(w) + (1e-40j if w.imag == 0 and w.real > 1 else 0)
+                if b == -1.0:
+                    want = -wm * mp.log(1 - wm)
+                else:
+                    want = wm / (1 + b) * mp.hyp2f1(1, 1 + b, 2 + b, wm)
+                if w.real > 1 and -0.6 < w.imag < 0:
+                    want += 2j * mp.pi * mp.power(wm, -b)
+                want = complex(want)
+            assert abs(rg._tail(w, b) - want) <= 1e-13 * abs(want), w
+
+    def test_log_action_far_out_and_non_finite(self):
+        # N = 1, w = -1e7 i sin(1): the 2F1 continuation raised here
+        want = 1.6829418125361721 + 1.5945491904689234e-06j
+        assert abs(rg.log_action(1e7, 1.0, 1, 1.0) - want) <= 1e-13 * abs(want)
+        for w in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+            with pytest.raises(Overflow):
+                rg._tail(w, -0.5)
+        with pytest.raises(Overflow):
+            rg.log_action(1e308, 1e-3, 1, 0.9)
+        # finite w ~ 3e306 at N = 3, where -w log(1 - w) overflows (was nan+infj)
+        with pytest.raises(Overflow):
+            rg.log_action(3e305, 1.0, 3, 1.0)
 
 
 # ---------------------------------------------------------------------------

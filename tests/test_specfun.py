@@ -359,6 +359,20 @@ def test_erfi_overflow():
         sf.erfi(30.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sf.bessel("Q", 1.0, 1.0),
+    lambda: sf.bessel("J", math.inf, 1.0),
+    lambda: sf.bessel("K", math.nan, 1.0),
+    lambda: sf.erfi(math.inf),
+    lambda: sf.erfi(math.nan),
+], ids=["bessel-kind", "bessel-inf-order", "bessel-nan-order", "erfi-inf",
+        "erfi-nan"])
+def test_invalid_arguments_raise_domain_error(call):
+    # these raised a bare ValueError, outside the CflowError hierarchy
+    with pytest.raises(DomainError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # poly_via_2f1
 # ---------------------------------------------------------------------------
