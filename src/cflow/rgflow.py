@@ -297,14 +297,23 @@ def _tail(w: complex, b: float) -> complex:
 
 
 def _action_constant(g_inv: complex, gamma: float, N: int) -> complex:
-    """c = -g_inv N e^{i N pi/2} / gamma^N, for N >= 1, N != 2 and gamma > 0."""
+    """c = -g_inv N e^{i N pi/2} / gamma^N, for N >= 1, N != 2 and gamma > 0.
+
+    Raises Overflow where gamma^N leaves the double range (over- or
+    underflow).
+    """
     if N < 1:
         raise DomainError("N must be a positive integer")
     if N == 2:
         raise DomainError("log-action family is degenerate at N = 2")
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    return -complex(g_inv) * N * (1j ** N) / gamma ** N if g_inv else 0j
+    if not g_inv:
+        return 0j
+    try:
+        return -complex(g_inv) * N * (1j ** N) / gamma ** N
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise Overflow("gamma^N leaves the double range") from exc
 
 
 def log_action(g_inv: complex, gamma: float, N: int, nu: complex) -> complex:

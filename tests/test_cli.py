@@ -294,10 +294,18 @@ class TestConfigFileAndErrors:
         ["--gamma", "0.5", "--E_re", "1e300", "--n_max", "40"],
         ["--gamma", "0", "--E_re", "1e200", "--n_max", "2000"]])
     def test_oscillator_n0_overflow_exits_1_one_line(self, in_tmp, capsys, extra):
-        # the N = 0 forward recurrence overflows; it wrote inf/nan rows
+        # the N = 0 coefficients leave the double range; no inf/nan rows
         assert main(["oscillator", "--N", "0", "--out", "c.csv"] + extra) == 1
         err = capsys.readouterr().err
         assert err.startswith("cflow: ") and "not finite" in err
+        assert err.count("\n") == 1
+        assert not (in_tmp / "c.csv").exists()
+
+    def test_oscillator_singular_system_exits_1_one_line(self, in_tmp, capsys):
+        assert main(["oscillator", "--N", "4", "--gamma", "1e80", "--n_max", "40",
+                     "--out", "c.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflow: ")
         assert err.count("\n") == 1
         assert not (in_tmp / "c.csv").exists()
 
@@ -453,7 +461,7 @@ print("ok")
 
 def test_cold_flow_eval_wetterich_do_not_import_numpy(tmp_path):
     # numpy costs about half of a cold cflow process; flow, eval,
-    # wetterich and the log-action run without it
+    # wetterich, oscillator and the log-action run without it
     script = """
 import cmath, math, sys
 import cflow.cli
@@ -467,6 +475,8 @@ runs = [
     ["eval", "--fn", "bessel_k", "--nu", "1", "--z_re", "1.8", "--out", "k.json"],
     ["wetterich", "--mode", "real_osc", "--omega", "1.0", "--Lambda", "1000",
      "--out", "w.json"],
+    ["oscillator", "--N", "2", "--gamma", "0.5", "--E_re", "1.0",
+     "--out", "c.csv"],
 ]
 for argv in runs:
     assert cflow.cli.main(argv) == 0, argv

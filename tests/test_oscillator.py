@@ -9,7 +9,7 @@ from scipy.integrate import quad, solve_ivp
 
 from cflow import oscillator as osc
 from cflow import specfun as sf
-from cflow.errors import DomainError, TruncationWarning
+from cflow.errors import DomainError, SingularSystem, TruncationWarning
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,8 @@ def _dense_oracle(params, seeds, theta, n_max):
     (1, 0.5, 1.0, 0.1 + 0.05j),
     (2, 0.7, 1.5 + 0.2j, 0.0),
     (3, 0.4, 0.8, 0.05j),
+    (4, 0.6, 1.2 - 0.3j, 0.02 + 0.01j),
+    (5, 0.3, 0.9 + 0.1j, 0.0),
 ])
 def test_banded_matches_dense_oracle(N, gamma, E, theta):
     p = osc.OscParams(N, gamma, E)
@@ -75,9 +77,38 @@ def test_banded_matches_dense_oracle(N, gamma, E, theta):
     assert np.max(np.abs(np.array(s.coeffs[2:]) - want)) < 1e-12
 
 
+@pytest.mark.parametrize("gamma,E,theta,seeds", [
+    (0.5, 1.3 - 0.4j, 0.3, (1.0, 0.0)),
+    (2.0, -0.7 + 0.2j, 0.2 + 0.1j, (0.4 - 0.2j, 1.1 + 0.3j)),
+    (0.05, 2.5 + 1.0j, -0.1j, (0.0, 1.0)),
+])
+def test_n0_matches_forward_recurrence(gamma, E, theta, seeds):
+    # At N = 0 the relations are lower triangular: c_{n+2} = [c_{n-2}
+    # (1 - e^{-2i theta}) + (pot + E - n e^{-2 theta}) c_n]/((n+1)(n+2)).
+    p = osc.OscParams(0, gamma, E)
+    n_max = 40
+    s = osc.frobenius_coeffs(p, seeds, theta, n_max)
+    pot = p.potential_coeff
+    want = [complex(seeds[0]), complex(seeds[1])]
+    for n in range(n_max - 1):
+        prev = want[n - 2] if n >= 2 else 0.0
+        want.append((prev * (1 - cmath.exp(-2j * theta))
+                     + (pot + E - n * cmath.exp(-2 * theta)) * want[n])
+                    / ((n + 1.0) * (n + 2.0)))
+    scale = max(abs(c) for c in want)
+    assert max(abs(a - b) for a, b in zip(s.coeffs, want)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("N,gamma,E", [(1, 0.5, 1e300), (4, 1e80, 1.0)])
+def test_singular_system_raises(N, gamma, E):
+    with pytest.raises(SingularSystem):
+        osc.frobenius_coeffs(osc.OscParams(N, gamma, E), n_max=40)
+
+
 @pytest.mark.parametrize("N", [0, 1])
 def test_n_max_above_bound_rejected(N):
-    # the dense N >= 1 solve needs O(n_max^2) memory, so n_max <= 2000
+    # the pure-Python solve costs 30-60 ms at n_max 2000 and N = 4,
+    # so n_max <= 2000
     with pytest.raises(DomainError):
         osc.frobenius_coeffs(osc.OscParams(N, 0.5, 1.0), n_max=2001)
 

@@ -456,6 +456,15 @@ class TestSaddlePoints:
         with pytest.raises(Overflow):
             rg.log_action(3e305, 1.0, 3, 1.0)
 
+    @pytest.mark.parametrize("gamma", [1e-200, 1e200])
+    def test_gamma_power_out_of_range_raises_overflow(self, gamma):
+        # gamma^3 underflows to 0 (was ZeroDivisionError) or overflows
+        # (was OverflowError)
+        with pytest.raises(Overflow):
+            rg.log_action(0.3, gamma, 3, 1.0)
+        with pytest.raises(Overflow):
+            rg.saddle_points(0.3, gamma, 3, [0, 1])
+
 
 # ---------------------------------------------------------------------------
 # regulator-integral energies
