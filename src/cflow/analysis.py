@@ -18,7 +18,7 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import (DegenerateTrajectory, DimensionMismatch, DomainError,
-                     PoleError)
+                     Overflow, PoleError)
 from .rgflow import lr_beta_closed_form
 
 _WINDING_TOL = 1e-3
@@ -58,13 +58,15 @@ def _aitken_focus(pts: np.ndarray) -> complex:
     return complex(np.median(f.real), np.median(f.imag))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def detect_limit_cycle(traj: Sequence[complex], tol: float = 1e-3) -> CycleReport:
     """Classify a trajectory as a closed orbit or an open (spiral) arc.
 
     Closure requires the nearest return to the start point (searched after
     the point of maximal excursion) to fall within ``tol`` and the centroid
     winding number of the start-to-return loop to be a nonzero integer
-    within 1e-3.
+    within 1e-3.  Near the double range the arithmetic overflows quietly;
+    raises DomainError where the winding number is then lost.
     """
     pts = np.asarray([complex(z) for z in traj])
     if len(pts) < 8:
@@ -84,6 +86,8 @@ def detect_limit_cycle(traj: Sequence[complex], tol: float = 1e-3) -> CycleRepor
     rel = loop - centroid
     ang = np.unwrap(np.angle(rel))
     wind = float((ang[-1] - ang[0]) / (2.0 * math.pi))
+    if not math.isfinite(wind):
+        raise DomainError("trajectory coordinates overflow the winding number")
     wind_int = int(round(wind))
     closed = (ret < tol and wind_int != 0
               and abs(wind - wind_int) < _WINDING_TOL)
@@ -278,10 +282,13 @@ def matsubara_propagator_sum(E0: float, nu: float, N: float,
     [-n_max, n_max]; the +-n pairs leave the real series
     1/E0 + sum 2 E0/(w_n^2 + E0^2), truncated with the integral tail
     estimate E0/(2 pi^2 n_max).  Grows as N^2 at fixed small nu, the
-    left-branch observable of the phase diagram.
+    left-branch observable of the phase diagram.  Raises Overflow where
+    nu/N leaves the double range.
     """
     if E0 <= 0 or nu <= 0 or N <= 0 or n_max < 1:
         raise DomainError("E0, nu, N must be positive and n_max >= 1")
+    if math.isinf(nu / N):
+        raise Overflow(f"nu/N = {nu}/{N} leaves the double range")
     s2 = math.sin(nu / N) ** 2
     if s2 == 0:
         raise PoleError("mode sum undefined where sin(nu/N) vanishes")

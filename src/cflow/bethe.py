@@ -46,38 +46,30 @@ class RiccatiParams:
             raise DomainError("q must be positive")
 
 
-def _hermite_zeros(n):
-    return np.polynomial.hermite.hermroots([0.0] * n + [1.0])
-
-
-def _defects(x, N, lam=1.0):
+def _system(x, N, lam):
+    """Defects F, Jacobian J and max|F| of the system at interaction weight
+    lam, in one pass over the pairs j < k.  Under d -> -d the terms 1/(2d)
+    and d^{2N-1} change sign and d^{2N} does not, so row k reuses row j's.
+    Raises CollisionError as `_check_separation` does."""
     n = len(x)
     sign = lam * (-1.0) ** N
-    out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        rhs = 0.0 + 0.0j
-        for k in range(n):
-            if k == j:
-                continue
-            d = x[j] - x[k]
-            rhs += 0.5 / d + sign * d ** (2 * N)
-        out[j] = x[j] - rhs
-    return out
-
-
-def _jacobian(x, N, lam=1.0):
-    n = len(x)
-    sign = lam * (-1.0) ** N
+    rhs = np.zeros(n, dtype=complex)
     J = np.eye(n, dtype=complex)
     for j in range(n):
-        for k in range(n):
-            if k == j:
-                continue
+        for k in range(j + 1, n):
             d = x[j] - x[k]
-            dd = -0.5 / (d * d) + sign * 2 * N * d ** (2 * N - 1)
-            J[j, j] -= dd
-            J[j, k] += dd
-    return J
+            if abs(d) < _MIN_SEP:
+                raise CollisionError("roots are not pairwise distinct")
+            h, e = 0.5 / d, sign * d ** (2 * N)
+            rhs[j] += h + e
+            rhs[k] += e - h
+            a, b = -0.5 / (d * d), sign * 2 * N * d ** (2 * N - 1)
+            J[j, j] -= a + b
+            J[j, k] += a + b
+            J[k, k] -= a - b
+            J[k, j] += a - b
+    F = x - rhs
+    return F, J, float(np.max(np.abs(F)))
 
 
 def _check_separation(x):
@@ -89,14 +81,13 @@ def _check_separation(x):
 
 
 def _newton(x, N, lam, tol):
+    """(roots, max|F|) once max|F| < tol at weight lam, else None."""
     for _ in range(_NEWTON_STEPS):
-        _check_separation(x)
-        F = _defects(x, N, lam)
-        worst = float(np.max(np.abs(F)))
+        F, J, worst = _system(x, N, lam)
         if worst < tol:
-            return x
+            return x, worst
         try:
-            step = np.linalg.solve(_jacobian(x, N, lam), F)
+            step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
             step = F  # fixed-point fallback
         x = x - step
@@ -107,7 +98,9 @@ def _homotopy(x0, N, tol):
     """Carry x0, the roots at interaction weight 0 (the scaled Hermite zeros),
     to weight 1 along lam = 0 -> 0.3+0.4i -> 1 in adaptive steps, each
     corrected by Newton.  The detour through complex weights steers around
-    real-axis folds where root families turn complex."""
+    real-axis folds where root families turn complex.  Returns the roots and
+    their max fixed-point defect, as measured by the last Newton call, at
+    lam = 1."""
     x = x0 + 1e-3j * np.arange(1, len(x0) + 1)
     lam = 0.0 + 0.0j
     for target in (0.3 + 0.4j, 1.0 + 0.0j):
@@ -115,15 +108,15 @@ def _homotopy(x0, N, tol):
         start = lam
         while t < 1.0 - 1e-12:
             trial = start + min(1.0, t + dt) * (target - start)
-            y = _newton(x, N, trial, tol)
-            if y is None:
+            found = _newton(x, N, trial, tol)
+            if found is None:
                 dt /= 2
                 if dt < 1e-7:
                     raise NoConvergence("homotopy stalled before full interaction")
             else:
-                x, lam, t = y, trial, min(1.0, t + dt)
+                (x, worst), lam, t = found, trial, min(1.0, t + dt)
                 dt = min(dt * 1.5, 0.25)
-    return x
+    return x, worst
 
 
 def solve_bethe_roots(n: int, N: int, tol: float = 1e-12) -> BetheRoots:
@@ -131,9 +124,10 @@ def solve_bethe_roots(n: int, N: int, tol: float = 1e-12) -> BetheRoots:
 
     The Hermite zeros of degree n scaled by 1/sqrt(2) solve the system at
     zero interaction; `_homotopy` carries them to full interaction.  The
-    reported residual is the max fixed-point defect there.  Raises
-    `NoConvergence` when the continuation stalls and `CollisionError` when
-    two roots meet on the way.
+    reported residual is the max fixed-point defect there, as measured by
+    the homotopy's last Newton call, at lam = 1.  Raises `NoConvergence`
+    when the continuation stalls and `CollisionError` when two roots meet
+    on the way.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -141,11 +135,8 @@ def solve_bethe_roots(n: int, N: int, tol: float = 1e-12) -> BetheRoots:
         raise DomainError("tol must be positive")
     if n == 1:
         return BetheRoots((0.0 + 0.0j,), N, 0.0)
-    x0 = np.asarray(_hermite_zeros(n) / math.sqrt(2.0), dtype=complex)
-    x = _homotopy(x0, N, tol)
-    worst = float(np.max(np.abs(_defects(x, N))))
-    if worst >= tol:
-        raise NoConvergence("roots miss tol at full interaction")
+    zeros = np.polynomial.hermite.hermroots([0.0] * n + [1.0])
+    x, worst = _homotopy(np.asarray(zeros / math.sqrt(2.0), dtype=complex), N, tol)
     return BetheRoots(tuple(complex(v) for v in x), N, worst)
 
 
@@ -181,28 +172,30 @@ def bethe_wavefunction(x: complex, roots: BetheRoots) -> complex:
     return val
 
 
-def _bessel_pair(branch, nu, z):
+def _riccati(x, params, branch):
+    """(u, u') at x from one Bessel pair at order nu and one at nu - 1: by
+    the chain rule dz/dx = sqrt(-+zeta) x^{q-1} and the recurrences
+    f' = f_{nu-1} - (nu/z) f for J, Y, I and K' = -K_{nu-1} - (nu/z) K."""
+    x = complex(x)
+    if x == 0:
+        raise DomainError("requires x != 0")
+    if params.a == 0:
+        return 0.0 + 0.0j, 0.0 + 0.0j
     if branch == "zeta_pos":
-        return sf.bessel("J", nu, z) + sf.bessel("Y", nu, z)
-    if branch == "zeta_neg":
-        return sf.bessel("I", nu, z) + sf.bessel("K", nu, z)
-    raise DomainError(f"unknown branch {branch!r}")
-
-
-def _bessel_pair_deriv(branch, nu, z):
-    # f' = f_{nu-1} - (nu/z) f for J, Y, I; K' = -K_{nu-1} - (nu/z) K
-    if branch == "zeta_pos":
-        return (sf.bessel("J", nu - 1, z) + sf.bessel("Y", nu - 1, z)
-                - (nu / z) * _bessel_pair(branch, nu, z))
-    if branch == "zeta_neg":
-        return (sf.bessel("I", nu - 1, z) - sf.bessel("K", nu - 1, z)
-                - (nu / z) * _bessel_pair(branch, nu, z))
-    raise DomainError(f"unknown branch {branch!r}")
-
-
-def _riccati_argument(x, params, branch):
-    root = cmath.sqrt(-params.zeta) if branch == "zeta_pos" else cmath.sqrt(params.zeta)
-    return root * sf.cpow(x, params.q) / params.q
+        z_kind, w_kind, root = "J", "Y", cmath.sqrt(-params.zeta)
+    elif branch == "zeta_neg":
+        z_kind, w_kind, root = "I", "K", cmath.sqrt(params.zeta)
+    else:
+        raise DomainError(f"unknown branch {branch!r}")
+    nu = 1.0 / (2.0 * params.q)
+    z = root * sf.cpow(x, params.q) / params.q
+    f = sf.bessel(z_kind, nu, z) + sf.bessel(w_kind, nu, z)
+    z1, w1 = sf.bessel(z_kind, nu - 1, z), sf.bessel(w_kind, nu - 1, z)
+    df = (z1 + w1 if branch == "zeta_pos" else z1 - w1) - (nu / z) * f
+    sqrt_x = sf.cpow(x, 0.5)
+    return (params.a * sqrt_x * f,
+            params.a * (0.5 * sf.cpow(x, -0.5) * f
+                        + sqrt_x * df * root * sf.cpow(x, params.q - 1.0)))
 
 
 def riccati_u(x, params: RiccatiParams, branch: str = "zeta_neg") -> complex:
@@ -211,31 +204,12 @@ def riccati_u(x, params: RiccatiParams, branch: str = "zeta_neg") -> complex:
     zeta_pos pairs J and Y, zeta_neg pairs I and K; both satisfy
     u'' = zeta x^{2q-2} u.
     """
-    x = complex(x)
-    if x == 0:
-        raise DomainError("requires x != 0")
-    if params.a == 0:
-        return 0.0 + 0.0j
-    nu = 1.0 / (2.0 * params.q)
-    z = _riccati_argument(x, params, branch)
-    return params.a * sf.cpow(x, 0.5) * _bessel_pair(branch, nu, z)
+    return _riccati(x, params, branch)[0]
 
 
 def riccati_u_derivative(x, params: RiccatiParams, branch: str = "zeta_neg") -> complex:
-    """du/dx via the chain rule dz/dx = sqrt(-+zeta) x^{q-1} and the
-    first-derivative recurrences of the cylinder functions."""
-    x = complex(x)
-    if x == 0:
-        raise DomainError("requires x != 0")
-    if params.a == 0:
-        return 0.0 + 0.0j
-    nu = 1.0 / (2.0 * params.q)
-    z = _riccati_argument(x, params, branch)
-    root = cmath.sqrt(-params.zeta) if branch == "zeta_pos" else cmath.sqrt(params.zeta)
-    f = _bessel_pair(branch, nu, z)
-    df = _bessel_pair_deriv(branch, nu, z)
-    return params.a * (0.5 * sf.cpow(x, -0.5) * f
-                       + sf.cpow(x, 0.5) * df * root * sf.cpow(x, params.q - 1.0))
+    """du/dx, from the same Bessel evaluations as `riccati_u`."""
+    return _riccati(x, params, branch)[1]
 
 
 def quasi_momentum(x: float, roots: BetheRoots, params: RiccatiParams,
@@ -251,8 +225,9 @@ def quasi_momentum(x: float, roots: BetheRoots, params: RiccatiParams,
         if abs(d) < 1e-12:
             raise PoleError("quasi-momentum has a pole at every root")
         px += (1.0 / 1j) / d
-        num += riccati_u_derivative(d, params, branch)
-        den += riccati_u(d, params, branch)
+        u, du = _riccati(d, params, branch)
+        num += du
+        den += u
     if den == 0:
         raise PoleError("auxiliary-solution denominator vanished")
     return px + 1j * num / den

@@ -23,7 +23,7 @@ import cmath
 import math
 import numbers
 
-from .errors import BlowUp, StepSizeUnderflow
+from .errors import BlowUp, DomainError, StepSizeUnderflow
 
 RTOL = 1e-11
 ATOL = 1e-13
@@ -142,9 +142,12 @@ def solve_rk4(f, nodes, y0, blowup=None):
         tb = nodes[j]
         arcs = [abs(nodes[m] - ta) for m in range(i + 1, j + 1)]
         length = arcs[-1]
+        if length == math.inf:
+            raise DomainError(f"the distance from {ta} to {tb} overflows")
         unit = (tb - ta) / length
         if h is None:
-            h = length / 16.0
+            # a run too short to split into 16 representable steps is one step
+            h = length / 16.0 or length
         t, u, m, rejected = ta, 0.0, 0, False
         while u < length:
             # stretch the last step of a run by up to 1 % rather than leave a sliver
@@ -161,7 +164,7 @@ def solve_rk4(f, nodes, y0, blowup=None):
                 h = step * (max(MIN_FACTOR, SAFETY * err ** -0.2) if err < math.inf
                             else MIN_FACTOR)
                 rejected = True
-                if h < length * MIN_STEP:
+                if h < length * MIN_STEP or h == 0:
                     raise StepSizeUnderflow(f"step underflow at t = {t}",
                                             tau_star=t, samples=unpack(out))
                 continue

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import specfun as sf
-from .errors import DomainError, SingularSystem, TruncationWarning
+from .errors import DomainError, Overflow, SingularSystem, TruncationWarning
 from .integrate import solve_rk4
 
 
@@ -62,8 +62,9 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
     system, solved by Gaussian elimination with partial pivoting among the at
     most 4N + 5 rows that can hold each column.  The pure-Python solve takes
     30-60 ms at n_max = 2000 and N = 4, which bounds n_max.  Raises
-    DomainError unless 2 <= n_max <= 2000, and SingularSystem for a zero
-    pivot or non-finite coefficients.
+    DomainError unless 2 <= n_max <= 2000, Overflow where a theta phase
+    factor leaves the double range, and SingularSystem for a zero pivot or
+    non-finite coefficients.
     """
     if not 2 <= n_max <= 2000:
         raise DomainError("n_max must be between 2 and 2000")
@@ -75,9 +76,12 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
     # k_N = 2 comes from the underlying coupled equation; with 1 the truncated
     # system is rank-deficient at N = 1 (row n = 0)
     k = 2.0 if N else 1.0
-    e_alg = cmath.exp(-2.0 * (N + 1) * th)
-    e_m2 = cmath.exp(-2j * N * th)
-    e_m42 = cmath.exp(-1j * (4 * N + 2) * th)
+    try:
+        e_alg = cmath.exp(-2.0 * (N + 1) * th)
+        e_m2 = cmath.exp(-2j * N * th)
+        e_m42 = cmath.exp(-1j * (4 * N + 2) * th)
+    except OverflowError:
+        raise Overflow(f"theta phase factors overflow at theta = {th}") from None
 
     # relation n as {m: coefficient of c_m}; the seeds fold into rhs
     rows, rhs = [], []

@@ -356,7 +356,11 @@ def saddle_points(g_inv: complex, gamma: float, N: int, n_range):
 # ---------------------------------------------------------------------------
 
 def wetterich_ground_energy(params: WetterichParams, mode: str) -> complex:
-    """Ground-state energy from the regulator integral at cutoff Lambda."""
+    """Ground-state energy from the regulator integral at cutoff Lambda.
+
+    complex_osc raises Overflow where omega^2 - gamma^2 + i gamma omega
+    underflows to 0, and PoleError where Lambda/r hits a branch point of atan.
+    """
     w, L = params.omega, params.Lambda
     if mode == "real_osc":
         return (w / math.pi) * math.atan(L / w)
@@ -369,7 +373,12 @@ def wetterich_ground_energy(params: WetterichParams, mode: str) -> complex:
     if mode == "complex_osc":
         g = params.gamma
         r = cmath.sqrt(w * w - g * g + 1j * g * w)
-        return r * cmath.atan(L / r)
+        if r == 0:
+            raise Overflow("omega^2 - gamma^2 + i gamma omega underflows to 0")
+        try:
+            return r * cmath.atan(L / r)
+        except ValueError:  # L/r = +-i, the branch points of atan
+            raise PoleError(f"atan is singular at Lambda/r = {L / r}") from None
     raise DomainError(f"unknown mode {mode!r}")
 
 

@@ -70,7 +70,10 @@ def cpow(w: complex, a: complex) -> complex:
         if complex(a).real > 0:
             return 0.0 + 0.0j
         raise PoleError("0 raised to a non-positive power")
-    return cmath.exp(complex(a) * clog(w))
+    try:
+        return cmath.exp(complex(a) * clog(w))
+    except ValueError:  # a log w overflowed in both parts
+        raise Overflow(f"({w})**({a}) leaves the double range") from None
 
 
 def _near_integer(x: complex, tol: float):
@@ -80,6 +83,12 @@ def _near_integer(x: complex, tol: float):
     if abs(x.imag) <= tol and abs(x.real - n) <= tol:
         return n
     return None
+
+
+def _negative_integer(nu: float) -> bool:
+    """nu + 1 is within `gamma`'s pole tolerance of an integer <= 0."""
+    n = _near_integer(nu + 1.0, 1e-12)
+    return n is not None and n <= 0
 
 
 def gamma(s: complex) -> complex:
@@ -324,12 +333,13 @@ def _bessel_ji(nu: float, z: complex, sign: float) -> complex:
         if nu > 0:
             return 0.0 + 0.0j
         raise PoleError("Bessel of negative order at z = 0")
-    try:
-        scale = cpow(z / 2.0, nu) / gamma(nu + 1.0)
-    except PoleError:
-        # nu is a negative integer n: J_n = (-1)^n J_{-n} and I_n = I_{-n}
+    if _negative_integer(nu):
+        # J_n = (-1)^n J_{-n} and I_n = I_{-n}
         n = round(nu)
         return sign ** n * _bessel_ji(float(-n), z, sign)
+    if z / 2.0 == 0:  # z/2 underflowed: the value at z = 0
+        return _bessel_ji(nu, 0j, sign)
+    scale = cpow(z / 2.0, nu) / gamma(nu + 1.0)
     return scale * _pfq_series((), (nu + 1.0,), sign * z * z / 4.0)
 
 
@@ -370,7 +380,7 @@ def bessel(kind: str, nu: float, z: complex) -> complex:
     if not math.isfinite(nu):
         raise DomainError("order must be finite")
     z = complex(z)
-    if z == 0 and kind in ("Y", "K"):
+    if z / 2.0 == 0 and kind in ("Y", "K"):
         raise PoleError(f"Bessel {kind} is singular at z = 0")
     if kind == "J":
         return _bessel_ji(nu, z, -1.0)
@@ -397,13 +407,14 @@ def kelvin_bei_complex(nu: float, z: complex) -> complex:
         if nu >= 0:
             return 0.0 + 0.0j
         raise PoleError("bei of negative order at z = 0")
-    half = z / 2.0
-    try:
-        scale = cpow(half, nu) / gamma(nu + 1.0)
-    except PoleError:
-        # nu is a negative integer n: bei_n = (-1)^n bei_{-n}
+    if _negative_integer(nu):
+        # bei_n = (-1)^n bei_{-n}
         n = round(nu)
         return (-1.0) ** n * kelvin_bei_complex(float(-n), z)
+    half = z / 2.0
+    if half == 0:  # z/2 underflowed: the value at z = 0
+        return kelvin_bei_complex(nu, 0j)
+    scale = cpow(half, nu) / gamma(nu + 1.0)
     q = half * half
     w = -q * q / 16.0
     even = _pfq_series((), (0.5, (nu + 1.0) / 2.0, (nu + 2.0) / 2.0), w)

@@ -8,6 +8,7 @@ spectral and contraction forms.
 """
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy import special
 
 from cflow import analysis
 from cflow.errors import (DegenerateTrajectory, DimensionMismatch,
-                          DomainError, PoleError)
+                          DomainError, Overflow, PoleError)
 
 
 def _circle(center=0.0, radius=1.0, n=256, turns=1, phase=0.0):
@@ -26,6 +27,17 @@ def _circle(center=0.0, radius=1.0, n=256, turns=1, phase=0.0):
 
 
 class TestDetectLimitCycle:
+    def test_coordinates_near_double_range(self):
+        # the sums behind the winding number overflow: a typed error, and
+        # no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                analysis.detect_limit_cycle(
+                    [1e308 * cmath.exp(1j * k) for k in range(12)])
+            rep = analysis.detect_limit_cycle(_circle(radius=1e306, n=40))
+        assert rep.winding == 1
+
     def test_unit_circle_closed_winding_one(self):
         rep = analysis.detect_limit_cycle(_circle(), tol=1e-3)
         assert rep.closed
@@ -363,6 +375,11 @@ class TestPhaseDiagramScan:
             analysis.phase_diagram_scan([1.0], -0.5, 1.0, 1.0, 0.01)
         with pytest.raises(DomainError):
             analysis.matsubara_propagator_sum(1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("N", [5e-324, 1e-320])
+    def test_nu_over_N_overflow_raises(self, N):
+        with pytest.raises(Overflow):
+            analysis.matsubara_propagator_sum(1.0, 1.0, N)
 
 
 class TestPowerLawFit:

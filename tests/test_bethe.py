@@ -55,7 +55,7 @@ class TestSolveBetheRoots:
         assert min(abs(r - oracle) for r in out.roots) < 1e-10
 
     def test_defects_below_tolerance(self):
-        for n, N in [(2, 1), (3, 1), (2, 2), (4, 1)]:
+        for n, N in [(2, 1), (3, 1), (2, 2), (4, 1), (6, 1), (12, 2), (16, 1)]:
             out = bethe.solve_bethe_roots(n, N)
             assert out.residual < 1e-10
             assert np.max(np.abs(root_defect(out.roots, N))) < 1e-10
@@ -191,6 +191,22 @@ class TestQuasiMomentum:
                     if mags[i] > 1e3 and mags[i] >= mags[i - 1]
                     and mags[i] >= mags[i + 1])
         assert peaks == 3
+
+    def test_at_most_four_bessel_calls_per_root(self, monkeypatch):
+        # u and u' share the Bessel pair at order nu and add one at nu - 1
+        calls = []
+        bessel = bethe.sf.bessel
+
+        def counted(kind, nu, z):
+            calls.append(kind)
+            return bessel(kind, nu, z)
+
+        roots = bethe.solve_bethe_roots(4, 1)
+        monkeypatch.setattr(bethe.sf, "bessel", counted)
+        for branch in ("zeta_pos", "zeta_neg"):
+            calls.clear()
+            bethe.quasi_momentum(0.3, roots, self._params(), branch=branch)
+            assert len(calls) <= 4 * len(roots.roots)
 
     def test_pole_error_at_root(self):
         roots = bethe.solve_bethe_roots(2, 1)

@@ -3,16 +3,21 @@
 Each test drives ``cflow.cli.main`` in-process inside a temp directory and
 inspects the files it writes plus the exit code.
 """
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from cflow import cli
+from cflow import cli, config
 from cflow.cli import main
 from cflow.errors import Overflow
 
@@ -91,6 +96,20 @@ class TestFlowCommand:
         assert float(rows[0][3]) == 1.0 and float(rows[0][5]) == 1e100
         assert rows[-1][-1] == "diverged"
         assert math.isfinite(float(rows[-1][1]))
+
+    @pytest.mark.parametrize("argv", [
+        ["--variant", "n-power", "--s_max", "5e-324"],
+        ["--variant", "lr", "--s_max", "5e-324"],
+        ["--variant", "one-loop-v1", "--gamma_start", "5e-324",
+         "--gamma_end", "1e-323", "--n_points", "2"]])
+    def test_run_too_short_for_sixteen_steps_ends(self, in_tmp, time_limit,
+                                                   argv):
+        # the first step, run length / 16, underflows to 0
+        with time_limit(20.0):
+            code = main(["flow"] + argv + ["--out", "short.csv"])
+        assert code == 0
+        _, rows = _read_csv(in_tmp / "short.csv")
+        assert rows[0][3] == rows[-1][3]
 
     def test_pole_on_a_node_stops_before_it(self, in_tmp, capsys):
         # g_inv = 1/(1 - tau) has its pole on the node tau = 1
@@ -280,6 +299,13 @@ class TestConfigFileAndErrors:
                      "--Lambda", "1000", "--N", "2", "--out", "w.json"]) == 1
         assert capsys.readouterr().err == "cflow: unknown key 'N' for wetterich\n"
         assert not (in_tmp / "w.json").exists()
+
+    @pytest.mark.parametrize("N_list", ["5e-324", "2,3,4,1e-320"])
+    def test_phase_nu_over_N_overflow_exits_1_one_line(self, in_tmp, capsys,
+                                                       N_list):
+        assert main(["phase", "--N_list", N_list, "--out", "ph.csv"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cflow: nu/N = ")
 
     def test_oscillator_n_max_above_bound_exits_1_one_line(self, in_tmp, capsys):
         # the dense Frobenius solve is bounded to n_max <= 2000
@@ -519,3 +545,113 @@ print("ok")
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# ---------------------------------------------------------------------------
+# contract fuzz: every schema-valid run ends in exit 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+_FUZZ_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-320, 1e-300, 1e300, -1e300,
+                     0.5, 1.0, -1.0, 2.0]))
+# upper bounds of the integer keys whose size sets the run time
+_FUZZ_INT_MAX = {"n": 4, "N": 4, "n_points": 64, "n_max": 40, "steps": 64,
+                 "depth": 6, "sites": 64}
+_FUZZ_REQUIRED = {"eval": ("fn", "nu", "a", "b", "c"),
+                  "oscillator": ("N", "gamma"), "bethe": ("n", "N"),
+                  "flow": ("variant",), "cycle": ("input",),
+                  "phase": ("N_list",),
+                  "wetterich": ("mode", "omega", "Lambda")}
+
+
+def _fuzz_float(key):
+    if key in config._POSITIVE:
+        return _FUZZ_FLOATS.map(abs).filter(lambda v: v > 0)
+    if key in config._NONNEGATIVE:
+        return _FUZZ_FLOATS.map(abs)
+    return _FUZZ_FLOATS
+
+
+def _fuzz_value(key, tag, choices):
+    """Flag text for one key of a schema."""
+    if tag == "choice":
+        return st.sampled_from(choices)
+    if tag == "int":
+        low = 1 if key in config._POSITIVE else 0
+        return st.integers(low, _FUZZ_INT_MAX[key]).map(str)
+    if tag == "floats":
+        return st.lists(_fuzz_float(key), min_size=1, max_size=5).map(
+            lambda vs: ",".join(map(repr, vs)))
+    if tag == "str":  # the cycle input, written by the test
+        return st.just("points.csv")
+    return _fuzz_float(key).map(repr)
+
+
+@st.composite
+def _fuzz_runs(draw):
+    """(argv, points): a schema-valid command line, and the trajectory
+    points for the cycle input (None for the other subcommands)."""
+    sub = draw(st.sampled_from(config.SUBCOMMANDS))
+    keys = {k: _fuzz_value(k, *spec) for k, spec in config._SCHEMAS[sub].items()}
+    required = {k: v for k, v in keys.items() if k in _FUZZ_REQUIRED[sub]}
+    optional = {k: v for k, v in keys.items() if k not in required}
+    flags = draw(st.fixed_dictionaries(required, optional=optional))
+    argv = [sub] + [a for k, v in flags.items() for a in (f"--{k}", v)]
+    points = None
+    if sub == "cycle":
+        points = draw(st.lists(st.tuples(_FUZZ_FLOATS, _FUZZ_FLOATS),
+                               min_size=1, max_size=64))
+    return argv, points
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    with open(path, encoding="utf-8") as fh:
+        json.loads(fh.read(), parse_constant=reject)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(run=_fuzz_runs())
+@example(run=(["flow", "--variant", "n-power", "--s_max", "5e-324"], None))
+@example(run=(["phase", "--N_list", "5e-324"], None))
+@example(run=(["eval", "--fn", "bessel_k", "--nu", "5e-324",
+               "--z_re", "5e-324"], None))
+@example(run=(["flow", "--variant", "lr", "--angle", "1.0",
+               "--s_max", "1.7976931348623157e+308"], None))
+@example(run=(["eval", "--fn", "bessel_j", "--nu", "1.7976931348623157e+308",
+               "--z_re", "1e-320", "--z_im", "3.2588768656054855e+189"], None))
+@example(run=(["wetterich", "--mode", "complex_osc", "--omega", "5e-324",
+               "--Lambda", "1.0"], None))
+@example(run=(["cycle", "--input", "points.csv"],
+              [(1e308 * math.cos(k), 1e308 * math.sin(k)) for k in range(12)]))
+def test_cli_contract_fuzz(run, tmp_path, time_limit):
+    argv, points = run
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        if points is not None:
+            rows = [",".join(FLOW_HEADER)] + [
+                f"{k},0.0,0.0,{x!r},{y!r},0.0,0.0,nan"
+                for k, (x, y) in enumerate(points)]
+            with open(os.path.join(work, "points.csv"), "w") as fh:
+                fh.write("\n".join(rows) + "\n")
+            argv = [os.path.join(work, a) if a == "points.csv" else a
+                    for a in argv]
+        out = os.path.join(work, config._DEFAULT_OUT[argv[0]])
+        err = io.StringIO()
+        with time_limit(20.0), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", out])
+        assert code in (0, 1, 2), argv
+        # a cflow process prints each warning on stderr too
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("cflow: "), (argv, lines)
+        elif out.endswith(".json"):
+            _strict_json(out)
+        elif argv[0] == "phase":
+            _strict_json(os.path.splitext(out)[0] + "_fit.json")

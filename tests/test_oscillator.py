@@ -9,7 +9,7 @@ from scipy.integrate import quad, solve_ivp
 
 from cflow import oscillator as osc
 from cflow import specfun as sf
-from cflow.errors import DomainError, SingularSystem, TruncationWarning
+from cflow.errors import DomainError, Overflow, SingularSystem, TruncationWarning
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,12 @@ def test_n0_matches_forward_recurrence(gamma, E, theta, seeds):
 def test_singular_system_raises(N, gamma, E):
     with pytest.raises(SingularSystem):
         osc.frobenius_coeffs(osc.OscParams(N, gamma, E), n_max=40)
+
+
+@pytest.mark.parametrize("theta", [-200, 1000j])
+def test_theta_phase_overflow_raises(theta):
+    with pytest.raises(Overflow):
+        osc.frobenius_coeffs(osc.OscParams(1, 0.5, 1.0), theta_const=theta)
 
 
 @pytest.mark.parametrize("N", [0, 1])

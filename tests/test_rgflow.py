@@ -225,6 +225,24 @@ class TestPathIntegrator:
         for t, y in zip(nodes, samples):
             assert abs(y - cmath.exp(t)) < 1e-9
 
+    @pytest.mark.parametrize("length", [5e-324, 3.5e-323])
+    def test_run_too_short_for_sixteen_steps_ends(self, length, time_limit):
+        # length / 16 underflows to 0: the run is one clamped step
+        with time_limit(5.0):
+            ys = solve_rk4(lambda t, y: y, [0.0, length], 1.0)
+        assert ys == [1.0, 1.0]
+
+    @pytest.mark.parametrize("length", [5e-324, 1e-310])
+    def test_rejected_steps_on_a_subnormal_run_underflow(self, length,
+                                                         time_limit):
+        # length * MIN_STEP is 0, so only a step of 0 can stop the rejections
+        with time_limit(5.0), pytest.raises(StepSizeUnderflow):
+            solve_rk4(lambda t, y: complex(math.nan), [0.0, length], 1.0)
+
+    def test_run_whose_length_overflows_raises(self, time_limit):
+        with time_limit(5.0), pytest.raises(DomainError):
+            solve_rk4(lambda t, y: y, [-1e308, 1e308], 1.0)
+
     def test_dense_nodes_cost_at_most_two_evaluations_each(self):
         # Steps clamped onto every node cost 6 or more evaluations per node;
         # free steps, with the nodes read off the continuous extension, cost
@@ -498,6 +516,17 @@ class TestWetterichGroundEnergy:
             E = rg.wetterich_ground_energy(p, "perturbed").real
             remainder = delta ** 4 / 16.0 + 1.0 / (math.pi * 1e6)
             assert abs(E - (0.5 - delta * delta / 4.0)) < remainder + 1e-4 * delta ** 2
+
+    def test_complex_oscillator_typed_errors(self):
+        # omega^2 underflows to 0, so r = 0
+        p = rg.WetterichParams(omega=5e-324, Lambda=1.0)
+        with pytest.raises(Overflow):
+            rg.wetterich_ground_energy(p, "complex_osc")
+        # r rounds to -i gamma, so Lambda/r = i, a branch point of atan
+        big = 1.1773359751625864e136
+        p = rg.WetterichParams(omega=5e-324, Lambda=big, gamma=big)
+        with pytest.raises(PoleError):
+            rg.wetterich_ground_energy(p, "complex_osc")
 
     def test_degenerate_perturbation_raises(self):
         p = rg.WetterichParams(omega=1.0, Lambda=10.0, delta=1.0)

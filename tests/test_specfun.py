@@ -41,6 +41,12 @@ def test_gamma_half_one_vs_quadrature():
     assert rel_err(sf.upper_incomplete_gamma(0.5, 1.0), val) < 1e-10
 
 
+def test_cpow_exponent_overflow_raises():
+    # a log w overflows in both parts, where cmath.exp has no value
+    with pytest.raises(Overflow):
+        sf.cpow(1e-320 + 3e189j, 1.7976931348623157e308)
+
+
 def test_gamma_pole_at_nonpositive_integer_origin():
     with pytest.raises(PoleError):
         sf.upper_incomplete_gamma(-2.0, 0.0)
@@ -335,6 +341,32 @@ def test_bei_complex_negative_third_vs_mpmath(z):
 def test_bei_negative_integer_order_vs_mpmath(n, x):
     want = float(mp.bei(n, mp.mpf(x)))
     assert rel_err(sf.kelvin_bei(float(n), x), want) < 1e-10
+
+
+_HALF_UNDERFLOWS = [5e-324, -5e-324, 5e-324j]
+
+
+@pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
+@pytest.mark.parametrize("kind, nu", [("Y", 0.0), ("K", 0.0), ("K", 5e-324),
+                                      ("Y", 0.5), ("K", 0.5), ("J", -0.5),
+                                      ("I", -0.5)])
+def test_bessel_pole_where_half_z_underflows(kind, nu, z):
+    # z/2 rounds to 0, so these orders raise as they do at z = 0
+    with pytest.raises(PoleError):
+        sf.bessel(kind, nu, z)
+
+
+@pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
+def test_bessel_values_where_half_z_underflows(z):
+    for kind in ("J", "I"):
+        assert sf.bessel(kind, 0.0, z) == 1.0
+        assert sf.bessel(kind, -2.0, z) == 0.0
+
+
+@pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
+def test_bei_pole_where_half_z_underflows(z):
+    with pytest.raises(PoleError):
+        sf.kelvin_bei_complex(-0.5, z)
 
 
 def test_bei_errors():
