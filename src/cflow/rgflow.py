@@ -151,6 +151,9 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
 
         for g, t in zip(gammas, solve_rk4(f, gammas, root ** -2.0)):
             t = t.real
+            if t < 0:  # t fell below the integrator's absolute tolerance
+                raise DomainError("one-loop t = gamma^3/g_inv^2 turns negative "
+                                  f"at gamma = {g}")
             try:
                 g_inv = g ** 1.5 / math.sqrt(t)
             except ZeroDivisionError:  # t underflowed to 0
@@ -227,10 +230,13 @@ def lr_beta_closed_form(g_inv: complex, k: complex, N: int, nu: float,
 
     advanced: beta = -g^{2N+1} 2F1(1,(2N+1)/(2N+2);(4N+3)/(2N+2);-g^{2N+2}/k)
     / ((2N+1) k), paired with gamma_tilde; retarded: beta = G 2F1(1, 1/(2N);
-    1+1/(2N); k G^{2N}) with G = 1/g_inv.
+    1+1/(2N); k G^{2N}) with G = 1/g_inv.  Raises Overflow where 2N + 2
+    leaves the double range.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
+    if 2.0 * N + 2 == math.inf:
+        raise Overflow(f"2N + 2 leaves the double range at N = {N}")
     g = complex(g_inv)
     k = complex(k)
     if form == "advanced":

@@ -199,7 +199,12 @@ def _pfq_series(numer, denom, z):
         den = k + 1.0 if kfact else 1.0
         for b in denom:
             den *= b + k
-        term *= num / den
+        try:
+            term *= num / den
+        except ZeroDivisionError:
+            # callers stop the series before a denominator parameter reaches
+            # 0, unless overflow left a nan where the terms end
+            raise Overflow(f"pFq terms overflow at z = {z}") from None
         total += term
         if abs(term) <= REL_TOL * abs(total) and (k > 2 or term == 0):
             return total
@@ -337,9 +342,10 @@ def _bessel_ji(nu: float, z: complex, sign: float) -> complex:
         # J_n = (-1)^n J_{-n} and I_n = I_{-n}
         n = round(nu)
         return sign ** n * _bessel_ji(float(-n), z, sign)
-    if z / 2.0 == 0:  # z/2 underflowed: the value at z = 0
+    half = z / 2.0
+    if half == 0:  # z/2 underflowed: the value at z = 0
         return _bessel_ji(nu, 0j, sign)
-    scale = cpow(z / 2.0, nu) / gamma(nu + 1.0)
+    scale = cpow(half, nu) / gamma(nu + 1.0)
     return scale * _pfq_series((), (nu + 1.0,), sign * z * z / 4.0)
 
 

@@ -626,6 +626,12 @@ def _strict_json(path):
                "--z_re", "1e-320", "--z_im", "3.2588768656054855e+189"], None))
 @example(run=(["wetterich", "--mode", "complex_osc", "--omega", "5e-324",
                "--Lambda", "1.0"], None))
+@example(run=(["phase", "--N_list", "1e308", "--nu", "1e308"], None))
+@example(run=(["flow", "--variant", "one-loop-v1", "--gamma_start", "1e7",
+               "--gamma_end", "1.4712130083212238e16", "--n_points", "43"], None))
+@example(run=(["eval", "--fn", "2f1", "--a", "6.9888087343722935e193",
+               "--b", "0", "--c", "-1", "--z_re", "6.9888087343722935e193",
+               "--z_im", "771.3234287776531"], None))
 @example(run=(["cycle", "--input", "points.csv"],
               [(1e308 * math.cos(k), 1e308 * math.sin(k)) for k in range(12)]))
 def test_cli_contract_fuzz(run, tmp_path, time_limit):

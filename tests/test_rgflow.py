@@ -72,6 +72,12 @@ class TestTauStepRecursion:
 # ---------------------------------------------------------------------------
 
 class TestOneLoopInvariantFlow:
+    def test_v1_negative_t_raises(self):
+        # t ~ 1/(9 gamma) sinks below the integrator's absolute tolerance
+        grid = np.linspace(1e7, 1.4712130083212238e16, 43)
+        with pytest.raises(DomainError):
+            rg.one_loop_invariant_flow("separated_v1", grid, 1.0)
+
     def test_v1_invariant_drift_below_tolerance(self):
         grid = np.linspace(0.1, 1.0, 60)
         C0 = (2.0 / 3.0) * 4.0 ** -0.5 - 2.0 * math.sqrt(0.1)  # t0 = 4 at gamma0
@@ -335,6 +341,12 @@ class TestLRBetaClosedForm:
         oracle = quad(lambda x: x ** (2 * N) / (k + x ** (2 * N + 2)),
                       0.0, g_end, epsabs=1e-13, epsrel=1e-13)[0]
         assert abs(-beta - oracle) < 1e-8 * abs(oracle)
+
+    @pytest.mark.parametrize("form", ["advanced", "retarded"])
+    def test_power_beyond_double_range_raises(self, form):
+        # 2N + 2 overflows, so the 2F1 parameters would be nan
+        with pytest.raises(Overflow):
+            rg.lr_beta_closed_form(1.0, 1.0, 1e308, 1.0, form=form)
 
     def test_zero_argument_gives_zero_beta(self):
         beta, gt = rg.lr_beta_closed_form(0.0, 1.0, 2, 0.3, form="advanced")

@@ -228,6 +228,14 @@ def test_pfq_non_finite_sum_raises_overflow():
         sf.pfq((1.0,), (2.0,), 800.0)
 
 
+def test_pfq_overflowing_terms_raise_overflow():
+    # z a overflows, so z a b is nan where b = 0 should end the series
+    # before c = -1 makes a denominator 0
+    with pytest.raises(Overflow):
+        sf.hyp2f1(6.9888087343722935e193, 0.0, -1.0,
+                  complex(6.9888087343722935e193, 771.3234287776531))
+
+
 # ---------------------------------------------------------------------------
 # Bessel
 # ---------------------------------------------------------------------------
