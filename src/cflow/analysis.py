@@ -18,7 +18,7 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import (DegenerateTrajectory, DimensionMismatch, DomainError,
-                     Overflow, PoleError)
+                     PoleError, _finite)
 from .rgflow import lr_beta_closed_form
 
 _WINDING_TOL = 1e-3
@@ -71,11 +71,10 @@ def detect_limit_cycle(traj: Sequence[complex], tol: float = 1e-3) -> CycleRepor
     pts = np.asarray([complex(z) for z in traj])
     if len(pts) < 8:
         raise DomainError("trajectory needs at least 8 samples")
-    scale = float(np.max(np.abs(pts - pts[0])))
-    if scale < 1e-15:
+    d0 = np.abs(pts - pts[0])
+    if float(np.max(d0)) < 1e-15:
         raise DegenerateTrajectory("all trajectory points coincide")
 
-    d0 = np.abs(pts - pts[0])
     far = int(np.argmax(d0))
     if far < 2:
         far = 2
@@ -287,9 +286,7 @@ def matsubara_propagator_sum(E0: float, nu: float, N: float,
     """
     if E0 <= 0 or nu <= 0 or N <= 0 or n_max < 1:
         raise DomainError("E0, nu, N must be positive and n_max >= 1")
-    if math.isinf(nu / N):
-        raise Overflow(f"nu/N = {nu}/{N} leaves the double range")
-    s2 = math.sin(nu / N) ** 2
+    s2 = math.sin(_finite(nu / N, f"nu/N = {nu}/{N}")) ** 2
     if s2 == 0:
         raise PoleError("mode sum undefined where sin(nu/N) vanishes")
     tot = 1.0 / E0

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import (CollisionError, DomainError, NoConvergence, PoleError,
-                     SingularFlow)
+                     SingularFlow, _finite)
 from .integrate import solve_rk4
 from .rgflow import FlowState, Trajectory
 
@@ -76,7 +76,7 @@ def _check_separation(x):
     n = len(x)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(x[i] - x[j]) < _MIN_SEP:
+            if abs(0.5 * (x[i] - x[j])) < 0.5 * _MIN_SEP:  # halved: |x_i - x_j| may overflow
                 raise CollisionError("roots are not pairwise distinct")
 
 
@@ -204,12 +204,12 @@ def riccati_u(x, params: RiccatiParams, branch: str = "zeta_neg") -> complex:
     zeta_pos pairs J and Y, zeta_neg pairs I and K; both satisfy
     u'' = zeta x^{2q-2} u.
     """
-    return _riccati(x, params, branch)[0]
+    return _finite(_riccati(x, params, branch)[0], "Riccati u")
 
 
 def riccati_u_derivative(x, params: RiccatiParams, branch: str = "zeta_neg") -> complex:
     """du/dx, from the same Bessel evaluations as `riccati_u`."""
-    return _riccati(x, params, branch)[1]
+    return _finite(_riccati(x, params, branch)[1], "Riccati u'")
 
 
 def quasi_momentum(x: float, roots: BetheRoots, params: RiccatiParams,
@@ -222,7 +222,7 @@ def quasi_momentum(x: float, roots: BetheRoots, params: RiccatiParams,
     px = 1j * x
     for xk in roots.roots:
         d = x - xk
-        if abs(d) < 1e-12:
+        if abs(0.5 * d) < 0.5e-12:  # halved, as |d| itself may overflow
             raise PoleError("quasi-momentum has a pole at every root")
         px += (1.0 / 1j) / d
         u, du = _riccati(d, params, branch)
@@ -230,7 +230,7 @@ def quasi_momentum(x: float, roots: BetheRoots, params: RiccatiParams,
         den += u
     if den == 0:
         raise PoleError("auxiliary-solution denominator vanished")
-    return px + 1j * num / den
+    return _finite(px + 1j * num / den, "quasi-momentum")
 
 
 def gp_scaling_flow(q2: float, s_contour, chi0: complex, xi0: complex) -> Trajectory:

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by all numeric modules."""
+"""Exception hierarchy shared by all numeric modules.
+
+One rule covers results that leave the double range: a public function
+returns a finite value or raises `Overflow`.  ``_finite(value, what)``
+owns that rule: it hands back a finite value and raises
+``Overflow("<what> leaves the double range")`` for inf or nan.  Every
+module sends its non-finite-prone results through it rather than testing
+``isfinite`` by hand.
+"""
+import cmath
 
 
 class CflowError(Exception):
@@ -19,6 +28,13 @@ class BranchCut(CflowError):
 
 class Overflow(CflowError):
     """Result exceeds the representable floating-point range."""
+
+
+def _finite(value, what):
+    """`value` if it is finite, else Overflow naming the quantity `what`."""
+    if cmath.isfinite(value):
+        return value
+    raise Overflow(f"{what} leaves the double range")
 
 
 class DomainError(CflowError):

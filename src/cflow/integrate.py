@@ -23,11 +23,12 @@ import cmath
 import math
 import numbers
 
-from .errors import BlowUp, DomainError, StepSizeUnderflow
+from .errors import BlowUp, DomainError, FlowStopped, StepSizeUnderflow
 
 RTOL = 1e-11
 ATOL = 1e-13
 MIN_STEP = 1e-16   # smallest step, as a fraction of the run length
+MAX_STEPS = 100_000  # most steps, accepted or rejected, one call may attempt
 STRAIGHT = 1e-9    # largest change of direction inside one straight run
 
 # Dormand–Prince 5(4): nodes, stages, 5th-order weights, error weights
@@ -109,8 +110,11 @@ def solve_rk4(f, nodes, y0, blowup=None):
 
     blowup: optional (threshold, label) — raises BlowUp when max |y_i|
     exceeds the threshold, at the t where the continuous extension crosses
-    it.  BlowUp and StepSizeUnderflow carry the t where the integration
-    stopped (``tau_star``) and y at every node before it (``samples``).
+    it.  A call attempts at most ``MAX_STEPS`` steps, accepted or rejected,
+    over all its runs, and raises FlowStopped at the next; the runs of the
+    library need under 2,000.  BlowUp, StepSizeUnderflow and FlowStopped
+    carry the t where the integration stopped (``tau_star``) and y at every
+    node before it (``samples``).
     """
     scalar = isinstance(y0, numbers.Number)
     if scalar:
@@ -122,7 +126,7 @@ def solve_rk4(f, nodes, y0, blowup=None):
     unpack = (lambda ys: [v[0] for v in ys]) if scalar else list
     out = [y]
     k1 = h = None
-    i, last = 0, len(nodes) - 1
+    i, last, steps = 0, len(nodes) - 1, 0
     while i < last:
         ta = nodes[i]
         if nodes[i + 1] == ta:
@@ -131,25 +135,32 @@ def solve_rk4(f, nodes, y0, blowup=None):
             continue
         # the straight run from node i to node j; arcs holds the distances of
         # nodes i + 1 .. j from its start
-        d = nodes[i + 1] - ta
-        unit = d / abs(d)
         j = i + 1
-        while j < last:
-            d = nodes[j + 1] - nodes[j]
-            if d != 0 and abs(d / abs(d) - unit) > STRAIGHT:
-                break
-            j += 1
+        try:
+            d = nodes[j] - ta
+            unit = d / abs(d)
+            while j < last:
+                d = nodes[j + 1] - nodes[j]
+                if d != 0 and abs(d / abs(d) - unit) > STRAIGHT:
+                    break
+                j += 1
+            arcs = [abs(nodes[m] - ta) for m in range(i + 1, j + 1)]
+        except OverflowError:  # abs() of a complex distance past the double range
+            arcs = [math.inf]
         tb = nodes[j]
-        arcs = [abs(nodes[m] - ta) for m in range(i + 1, j + 1)]
         length = arcs[-1]
         if length == math.inf:
-            raise DomainError(f"the distance from {ta} to {tb} overflows")
+            raise DomainError(f"a distance along the contour from {ta} overflows")
         unit = (tb - ta) / length
         if h is None:
             # a run too short to split into 16 representable steps is one step
             h = length / 16.0 or length
         t, u, m, rejected = ta, 0.0, 0, False
         while u < length:
+            steps += 1
+            if steps > MAX_STEPS:
+                raise FlowStopped(f"step budget of {MAX_STEPS} spent at t = {t}",
+                                  tau_star=t, samples=unpack(out))
             # stretch the last step of a run by up to 1 % rather than leave a sliver
             clamped = u + 1.01 * h >= length
             step = length - u if clamped else h

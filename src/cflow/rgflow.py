@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import specfun as sf
 from .errors import (BranchCollision, BranchCut, DivisionByZero,
                      DomainError, ExceptionalPoint, NoConvergence, Overflow,
-                     PoleError, RangeError)
+                     PoleError, RangeError, _finite)
 from .integrate import solve_rk4
 
 
@@ -154,12 +154,8 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
             if t < 0:  # t fell below the integrator's absolute tolerance
                 raise DomainError("one-loop t = gamma^3/g_inv^2 turns negative "
                                   f"at gamma = {g}")
-            try:
-                g_inv = g ** 1.5 / math.sqrt(t)
-            except ZeroDivisionError:  # t underflowed to 0
-                g_inv = math.inf
-            if math.isinf(g_inv):
-                raise Overflow(f"one-loop g_inv leaves the double range at gamma = {g}")
+            # inf where t underflowed to 0; g ** 1.5 itself may raise OverflowError
+            g_inv = _finite(g ** 1.5 / math.sqrt(t) if t else g ** 1.5 * math.inf, "one-loop g_inv")
             states.append(FlowState(g, g_inv, g))
             invariants.append((2.0 / 3.0) * t ** -0.5 - 2.0 * math.sqrt(g))
     elif variant == "appendix_v2":
@@ -235,8 +231,7 @@ def lr_beta_closed_form(g_inv: complex, k: complex, N: int, nu: float,
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
-    if 2.0 * N + 2 == math.inf:
-        raise Overflow(f"2N + 2 leaves the double range at N = {N}")
+    _finite(2.0 * N + 2, f"2N + 2 at N = {N}")
     g = complex(g_inv)
     k = complex(k)
     if form == "advanced":
@@ -282,8 +277,7 @@ def _tail(w: complex, b: float) -> complex:
     """
     if w == 1:
         raise PoleError("log-action tail diverges at w = 1")
-    if not cmath.isfinite(w):
-        raise Overflow("log-action tail argument is not finite")
+    _finite(w, "log-action tail argument")
     if abs(w) <= 0.5:
         total, power, m = 0j, w, 1
         while abs(power) > 1e-17 * abs(total):
@@ -335,10 +329,7 @@ def log_action(g_inv: complex, gamma: float, N: int, nu: complex) -> complex:
     if u == 0:
         return 0.0 + 0.0j
     w = c * u ** (2 - N)
-    val = u * (N - _tail(w, 1.0 / (2.0 - N)))
-    if not cmath.isfinite(val):
-        raise Overflow("log-action leaves the double range")
-    return val
+    return _finite(u * (N - _tail(w, 1.0 / (2.0 - N))), "log-action")
 
 
 def saddle_points(g_inv: complex, gamma: float, N: int, n_range):
@@ -442,25 +433,24 @@ def continued_fraction_rg(g0, tau_grid, depth: int):
     if len(g) != len(taus):
         raise DomainError("g0 and tau_grid must have the same length")
     L = len(g)
+    diag = [regulator_matrix_entry(t, t) for t in taus]
     if depth == 0:
-        return [g[n] + regulator_matrix_entry(taus[n], taus[n]) for n in range(L)]
+        return [g[n] + diag[n] for n in range(L)]
+    off = [regulator_matrix_entry(taus[n], taus[(n + 1) % L]) for n in range(L)]
     work = g
     tilde = None
     for d in range(depth):
         tilde = []
         for n in range(L):
             m = (n + 1) % L
-            r_diag_n = regulator_matrix_entry(taus[n], taus[n])
-            r_diag_m = regulator_matrix_entry(taus[m], taus[m])
-            r_off = regulator_matrix_entry(taus[n], taus[m])
-            head = work[n] + r_diag_n
-            den1 = work[m] + r_diag_m
+            head = work[n] + diag[n]
+            den1 = work[m] + diag[m]
             if den1 == 0:
                 raise DivisionByZero("inner denominator vanished", site=n, depth=d)
-            inner = head - r_off * r_off / den1
+            inner = head - off[n] * off[n] / den1
             if inner == 0:
                 raise DivisionByZero("outer denominator vanished", site=n, depth=d)
-            tilde.append(inner - r_off * r_off / inner)
+            tilde.append(inner - off[n] * off[n] / inner)
         work = [tilde[(n + 1) % L] for n in range(L)]
     return tilde
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import BranchCut, DomainError, NonConvergence, Overflow, PoleError
+from .errors import BranchCut, DomainError, NonConvergence, Overflow, PoleError, _finite
 
 __all__ = [
     "clog",
@@ -72,7 +72,7 @@ def cpow(w: complex, a: complex) -> complex:
         raise PoleError("0 raised to a non-positive power")
     try:
         return cmath.exp(complex(a) * clog(w))
-    except ValueError:  # a log w overflowed in both parts
+    except (OverflowError, ValueError):  # the power, or a log w in both parts, overflowed
         raise Overflow(f"({w})**({a}) leaves the double range") from None
 
 
@@ -108,7 +108,7 @@ def gamma(s: complex) -> complex:
     for i in range(1, len(_LANCZOS)):
         x += _LANCZOS[i] / (z + i)
     t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * cpow(t, z + 0.5) * cmath.exp(-t) * x
+    return _finite(math.sqrt(2.0 * math.pi) * cpow(t, z + 0.5) * cmath.exp(-t) * x, "gamma")
 
 
 def _upper_gamma_cf(s: complex, z: complex) -> complex:
@@ -192,22 +192,22 @@ def _pfq_series(numer, denom, z):
         numer = list(numer)
         numer.remove(1.0)
     term = total = 1.0 + 0.0j
-    for k in range(MAX_TERMS):
-        num = z
-        for a in numer:
-            num *= a + k
-        den = k + 1.0 if kfact else 1.0
-        for b in denom:
-            den *= b + k
-        try:
+    try:
+        for k in range(MAX_TERMS):
+            num = z
+            for a in numer:
+                num *= a + k
+            den = k + 1.0 if kfact else 1.0
+            for b in denom:
+                den *= b + k
             term *= num / den
-        except ZeroDivisionError:
-            # callers stop the series before a denominator parameter reaches
-            # 0, unless overflow left a nan where the terms end
-            raise Overflow(f"pFq terms overflow at z = {z}") from None
-        total += term
-        if abs(term) <= REL_TOL * abs(total) and (k > 2 or term == 0):
-            return total
+            total += term
+            if abs(term) <= REL_TOL * abs(total) and (k > 2 or term == 0):
+                return total
+    except (OverflowError, ZeroDivisionError):
+        # abs() past the double range, or a denominator parameter at 0: callers
+        # end the series before it, unless overflow left a nan where terms end
+        raise Overflow(f"pFq terms overflow at z = {z}") from None
     raise NonConvergence("pFq series did not converge within max_terms")
 
 
@@ -318,10 +318,7 @@ def pfq(numer, denom, z) -> complex:
             raise PoleError(f"pFq denominator parameter {b} is a non-positive integer")
     if len(numer) == 2 and len(denom) == 1:
         return hyp2f1(numer[0], numer[1], denom[0], z)
-    total = _pfq_series(numer, denom, z)
-    if not cmath.isfinite(total):
-        raise Overflow(f"pFq sum is not finite at z = {z}")
-    return total
+    return _finite(_pfq_series(numer, denom, z), "pFq sum")
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +340,11 @@ def _bessel_ji(nu: float, z: complex, sign: float) -> complex:
         n = round(nu)
         return sign ** n * _bessel_ji(float(-n), z, sign)
     half = z / 2.0
-    if half == 0:  # z/2 underflowed: the value at z = 0
-        return _bessel_ji(nu, 0j, sign)
+    if half == 0:  # z/2 underflowed: (z/2)^nu / Gamma(nu + 1), the series is 1
+        if nu <= 0:  # the value at z = 0
+            return _bessel_ji(nu, 0j, sign)
+        p = cpow(z, nu) * 2.0 ** -nu
+        return p / gamma(nu + 1.0) if p else p
     scale = cpow(half, nu) / gamma(nu + 1.0)
     return scale * _pfq_series((), (nu + 1.0,), sign * z * z / 4.0)
 
@@ -364,17 +364,20 @@ def _bessel_yk_int(kind: str, n: int, z: complex) -> complex:
     sign, c, e = (-1.0, -1.0 / math.pi, 1.0) if kind == "Y" else (1.0, 0.5, (-1.0) ** n)
     half = z / 2.0
     q = sign * half * half
-    total = c * sum(math.gamma(n - k) / math.gamma(k + 1) * (-sign) ** k
-                    * cpow(half, 2 * k - n) for k in range(n))
-    total -= 2.0 * c * e * clog(half) * _bessel_ji(float(n), z, sign)
-    psi = -2.0 * _EULER_GAMMA + sum(1.0 / j for j in range(1, n + 1))
-    term = cpow(half, n) / math.gamma(n + 1)
-    for k in range(MAX_TERMS):
-        total += c * e * psi * term
-        term *= q / ((k + 1.0) * (n + k + 1.0))
-        psi += 1.0 / (k + 1) + 1.0 / (n + k + 1)
-        if abs(term) <= REL_TOL * max(abs(total), 1e-300):
-            return reflect * total
+    try:
+        total = c * sum(math.gamma(n - k) / math.gamma(k + 1) * (-sign) ** k
+                        * cpow(half, 2 * k - n) for k in range(n))
+        total -= 2.0 * c * e * clog(half) * _bessel_ji(float(n), z, sign)
+        psi = -2.0 * _EULER_GAMMA + sum(1.0 / j for j in range(1, n + 1))
+        term = cpow(half, n) / math.gamma(n + 1)
+        for k in range(MAX_TERMS):
+            total += c * e * psi * term
+            term *= q / ((k + 1.0) * (n + k + 1.0))
+            psi += 1.0 / (k + 1) + 1.0 / (n + k + 1)
+            if abs(term) <= REL_TOL * max(abs(total), 1e-300):
+                return reflect * total
+    except OverflowError:  # math.gamma past n = 170, or abs() past the double range
+        raise Overflow(f"integer-order {kind} series leaves the double range") from None
     raise NonConvergence(f"integer-order {kind} series did not converge")
 
 
@@ -388,18 +391,17 @@ def bessel(kind: str, nu: float, z: complex) -> complex:
     z = complex(z)
     if z / 2.0 == 0 and kind in ("Y", "K"):
         raise PoleError(f"Bessel {kind} is singular at z = 0")
-    if kind == "J":
-        return _bessel_ji(nu, z, -1.0)
-    if kind == "I":
-        return _bessel_ji(nu, z, 1.0)
-    nint = _near_integer(nu, 1e-8)
-    if nint is not None:
-        return _bessel_yk_int(kind, nint, z)
-    s = math.sin(math.pi * nu)
-    if kind == "Y":
-        return (_bessel_ji(nu, z, -1.0) * math.cos(math.pi * nu)
-                - _bessel_ji(-nu, z, -1.0)) / s
-    return math.pi / 2.0 * (_bessel_ji(-nu, z, 1.0) - _bessel_ji(nu, z, 1.0)) / s
+    if kind in ("J", "I"):
+        val = _bessel_ji(nu, z, -1.0 if kind == "J" else 1.0)
+    elif _near_integer(nu, 1e-8) is not None:
+        val = _bessel_yk_int(kind, round(nu), z)
+    elif kind == "Y":
+        val = (_bessel_ji(nu, z, -1.0) * math.cos(math.pi * nu)
+               - _bessel_ji(-nu, z, -1.0)) / math.sin(math.pi * nu)
+    else:
+        val = (math.pi / 2.0 * (_bessel_ji(-nu, z, 1.0) - _bessel_ji(nu, z, 1.0))
+               / math.sin(math.pi * nu))
+    return _finite(val, f"Bessel {kind}")
 
 
 def kelvin_bei_complex(nu: float, z: complex) -> complex:
@@ -418,15 +420,18 @@ def kelvin_bei_complex(nu: float, z: complex) -> complex:
         n = round(nu)
         return (-1.0) ** n * kelvin_bei_complex(float(-n), z)
     half = z / 2.0
-    if half == 0:  # z/2 underflowed: the value at z = 0
-        return kelvin_bei_complex(nu, 0j)
+    if half == 0:  # z/2 underflowed: the k = 0 term alone
+        if nu <= 0:  # the value at z = 0
+            return kelvin_bei_complex(nu, 0j)
+        p = cpow(z, nu) * 2.0 ** -nu
+        return math.sin(0.75 * math.pi * nu) * p / gamma(nu + 1.0) if p else p
     scale = cpow(half, nu) / gamma(nu + 1.0)
     q = half * half
     w = -q * q / 16.0
     even = _pfq_series((), (0.5, (nu + 1.0) / 2.0, (nu + 2.0) / 2.0), w)
     odd = q / (nu + 1.0) * _pfq_series((), (1.5, (nu + 2.0) / 2.0, (nu + 3.0) / 2.0), w)
-    return scale * (math.sin(0.75 * math.pi * nu) * even
-                    + math.cos(0.75 * math.pi * nu) * odd)
+    return _finite(scale * (math.sin(0.75 * math.pi * nu) * even
+                            + math.cos(0.75 * math.pi * nu) * odd), "bei")
 
 
 def kelvin_bei(nu: float, x: float) -> float:

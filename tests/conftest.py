@@ -3,6 +3,14 @@ import contextlib
 import signal
 
 import pytest
+from hypothesis import strategies as st
+
+# Floats for the contract fuzzes: the whole double range, plus zero,
+# subnormals, the edges of the range and a few plain values.
+FUZZ_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-320, 1e-300, 1e300, -1e300,
+                     0.5, 1.0, -1.0, 2.0]))
 
 
 class TimeLimitExceeded(Exception):

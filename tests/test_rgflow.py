@@ -18,9 +18,9 @@ from scipy.integrate import quad
 
 from cflow import rgflow as rg
 from cflow.errors import (BlowUp, BranchCollision, BranchCut, DivisionByZero,
-                          DomainError, ExceptionalPoint, Overflow, PoleError,
-                          RangeError, StepSizeUnderflow)
-from cflow.integrate import _dp_step, solve_rk4
+                          DomainError, ExceptionalPoint, FlowStopped, Overflow,
+                          PoleError, RangeError, StepSizeUnderflow)
+from cflow.integrate import MAX_STEPS, _dp_step, solve_rk4
 
 
 def cquad(f, a, b):
@@ -248,6 +248,13 @@ class TestPathIntegrator:
     def test_run_whose_length_overflows_raises(self, time_limit):
         with time_limit(5.0), pytest.raises(DomainError):
             solve_rk4(lambda t, y: y, [-1e308, 1e308], 1.0)
+
+    def test_step_budget_stops_a_runaway_run(self, time_limit):
+        # y' = i y over 1e11 would take some 1e10 steps
+        with time_limit(20.0), pytest.raises(FlowStopped) as exc:
+            solve_rk4(lambda t, y: 1j * y, [0.0, 1e11], 1.0)
+        assert type(exc.value) is FlowStopped and str(MAX_STEPS) in str(exc.value)
+        assert exc.value.samples == [1.0] and 0.0 < exc.value.tau_star < 1e11
 
     def test_dense_nodes_cost_at_most_two_evaluations_each(self):
         # Steps clamped onto every node cost 6 or more evaluations per node;

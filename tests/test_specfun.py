@@ -372,6 +372,19 @@ def test_bessel_values_where_half_z_underflows(z):
 
 
 @pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
+@pytest.mark.parametrize("fn, nu", [("J", 0.001), ("I", 0.01), ("bei", 0.01),
+                                    ("J", 0.5), ("I", 0.25)])
+def test_small_order_where_half_z_underflows_vs_mpmath(fn, nu, z):
+    # z/2 rounds to 0 but (z/2)^nu need not: the series is its first term
+    if fn == "bei":
+        got, want = sf.kelvin_bei_complex(nu, z), mp.bei(nu, mp.mpc(z))
+    else:
+        got = sf.bessel(fn, nu, z)
+        want = (mp.besselj if fn == "J" else mp.besseli)(nu, mp.mpc(z))
+    assert rel_err(got, complex(want)) < 1e-13
+
+
+@pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
 def test_bei_pole_where_half_z_underflows(z):
     with pytest.raises(PoleError):
         sf.kelvin_bei_complex(-0.5, z)
