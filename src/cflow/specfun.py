@@ -12,6 +12,11 @@ its Taylor steps.  Every series and continued fraction stops by one fixed
 rule: once a term (or a Lentz correction) is at most ``REL_TOL`` of the
 running sum, and it raises ``NonConvergence`` after ``MAX_TERMS`` terms.
 ``erfi`` alone sums its always-convergent series to 1e-16.
+
+Where z/2 is 0 or underflows, J, I and bei are their first series term
+(``_first_term``) and non-integer Y and K follow from J and I at +-nu, so
+only integer-order Y and K raise PoleError at every such z; the others do
+at z = 0 alone, for a negative non-integer order.
 """
 from __future__ import annotations
 
@@ -59,7 +64,10 @@ def clog(w: complex) -> complex:
     w = complex(w)
     if w.imag == 0:
         w = complex(w.real, 0.0)
-    return cmath.log(w)
+    try:
+        return cmath.log(w)
+    except ValueError:  # w = 0
+        raise PoleError("log of 0") from None
 
 
 def cpow(w: complex, a: complex) -> complex:
@@ -71,7 +79,7 @@ def cpow(w: complex, a: complex) -> complex:
             return 0.0 + 0.0j
         raise PoleError("0 raised to a non-positive power")
     try:
-        return cmath.exp(complex(a) * clog(w))
+        return _finite(cmath.exp(complex(a) * clog(w)), "a complex power")
     except (OverflowError, ValueError):  # the power, or a log w in both parts, overflowed
         raise Overflow(f"({w})**({a}) leaves the double range") from None
 
@@ -101,7 +109,17 @@ def gamma(s: complex) -> complex:
         # Reflection formula, with sin(pi s) = (-1)^k sin(pi (s - k)): s - k is
         # exact near the pole s = k, so the sine keeps its digits there.
         k = round(s.real)
-        sin = cmath.sin(math.pi * (s - k))
+        try:
+            sin = cmath.sin(math.pi * (s - k))
+        except OverflowError:
+            # |Im s| past about 226: 1/sin(w) = -2i e^{iw}, w = pi (s - k) signed
+            # so that Im w > 0, exact to e^{-2 Im w}; e^{iw} is split in halves,
+            # each in range while Gamma(1 - s) is.  Gamma(1 - s) = 0 leaves
+            # |Gamma(s)| below the double range.
+            sign = 1.0 if s.imag > 0 else -1.0
+            half = cmath.exp(0.5j * sign * math.pi * (s - k))
+            g = gamma(1.0 - s)
+            return (-2j * sign * math.pi * (-1) ** k * half / g * half) if g else 0j
         return math.pi / ((-sin if k % 2 else sin) * gamma(1.0 - s))
     z = s - 1.0
     x = complex(_LANCZOS[0])
@@ -170,19 +188,22 @@ def upper_incomplete_gamma(s: complex, z: complex) -> complex:
         lifted.append(s)
         s = s + 1.0
         n += 1
-    if cf_applies(s):
-        total = _upper_gamma_cf(s, z)
-    elif n == 0:
-        # Gamma(0, z) = E_1(z) = -euler_gamma - Log z + z 2F2(1, 1; 2, 2; -z)
-        total = (-_EULER_GAMMA - clog(z)
-                 + z * _pfq_series((1.0, 1.0), (2.0, 2.0), -z))
-    else:
-        # lower incomplete gamma z**s e**-z 1F1(1; s+1; z) / s (DLMF 8.5.1)
-        total = gamma(s) - (cpow(z, s) * cmath.exp(-z) / s
-                            * _pfq_series((1.0,), (s + 1.0,), z))
-    for sk in reversed(lifted):
-        total = (total - cpow(z, sk) * cmath.exp(-z)) / sk
-    return total
+    try:
+        if cf_applies(s):
+            total = _upper_gamma_cf(s, z)
+        elif n == 0:
+            # Gamma(0, z) = E_1(z) = -euler_gamma - Log z + z 2F2(1, 1; 2, 2; -z)
+            total = (-_EULER_GAMMA - clog(z)
+                     + z * _pfq_series((1.0, 1.0), (2.0, 2.0), -z))
+        else:
+            # lower incomplete gamma z**s e**-z 1F1(1; s+1; z) / s (DLMF 8.5.1)
+            total = gamma(s) - (cpow(z, s) * cmath.exp(-z) / s
+                                * _pfq_series((1.0,), (s + 1.0,), z))
+        for sk in reversed(lifted):
+            total = (total - cpow(z, sk) * cmath.exp(-z)) / sk
+    except OverflowError:  # e**-z past the double range
+        raise Overflow("Gamma(s, z) leaves the double range") from None
+    return _finite(total, "Gamma(s, z)")
 
 
 def _pfq_series(numer, denom, z):
@@ -229,9 +250,17 @@ def hyp2f1(a, b, c, z) -> complex:
 
     Raises PoleError for a non-positive integer c that the series does not
     terminate before, BranchCut for z exactly on the cut [1, inf), and
-    NonConvergence past 40 continuation steps, from |z| ~ 1e6 or |1-z| ~ 1e-11.
+    NonConvergence past 40 continuation steps, from |z| ~ 1e6 or |1-z| ~ 1e-11,
+    and Overflow where the value or a gamma factor leaves the double range.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    try:
+        return _finite(_hyp2f1(complex(a), complex(b), complex(c), complex(z)), "2F1")
+    except ZeroDivisionError:  # a gamma product of the 1/z or 1-z form underflowed
+        raise Overflow("2F1 gamma factors leave the double range") from None
+
+
+def _hyp2f1(a, b, c, z):
+    """``hyp2f1`` on complex arguments, by its region map."""
     na, nb = _near_integer(a, 0.0), _near_integer(b, 0.0)
     nc = _near_integer(c, 1e-12)
     # a pole in c is allowed only when the series terminates first
@@ -326,25 +355,30 @@ def pfq(numer, denom, z) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _first_term(nu: float, z: complex, bei: bool = False) -> complex:
+    """J, I or bei where z/2 is 0 or underflows: the first series term (z/2)^nu
+    / Gamma(nu+1), times sin(3 pi nu / 4) for bei, with the power cpow(z, nu)
+    2^-nu.  Exactly 1 (0 for bei) at nu = 0, 0 without Gamma where the power
+    underflows, and cpow's PoleError for nu < 0 at z = 0.
+    """
+    if nu == 0:
+        return 0j if bei else 1.0 + 0j
+    p = cpow(z, nu) * 2.0 ** -nu
+    if p and bei:
+        p *= math.sin(0.75 * math.pi * nu)
+    return _finite(p / gamma(nu + 1.0), "(z/2)**nu / Gamma(nu + 1)") if p else p
+
+
 def _bessel_ji(nu: float, z: complex, sign: float) -> complex:
     """J_nu (sign -1) or I_nu (sign +1): (z/2)^nu 0F1(; nu+1; sign z^2/4) / Gamma(nu+1)."""
-    z = complex(z)
-    if z == 0:
-        if nu == 0:
-            return 1.0 + 0.0j
-        if nu > 0:
-            return 0.0 + 0.0j
-        raise PoleError("Bessel of negative order at z = 0")
     if _negative_integer(nu):
         # J_n = (-1)^n J_{-n} and I_n = I_{-n}
         n = round(nu)
         return sign ** n * _bessel_ji(float(-n), z, sign)
+    z = complex(z)
     half = z / 2.0
-    if half == 0:  # z/2 underflowed: (z/2)^nu / Gamma(nu + 1), the series is 1
-        if nu <= 0:  # the value at z = 0
-            return _bessel_ji(nu, 0j, sign)
-        p = cpow(z, nu) * 2.0 ** -nu
-        return p / gamma(nu + 1.0) if p else p
+    if half == 0:
+        return _first_term(nu, z)
     scale = cpow(half, nu) / gamma(nu + 1.0)
     return scale * _pfq_series((), (nu + 1.0,), sign * z * z / 4.0)
 
@@ -363,6 +397,8 @@ def _bessel_yk_int(kind: str, n: int, z: complex) -> complex:
     n = abs(n)
     sign, c, e = (-1.0, -1.0 / math.pi, 1.0) if kind == "Y" else (1.0, 0.5, (-1.0) ** n)
     half = z / 2.0
+    if half == 0:  # z is 0 or z/2 underflowed: the Log(z/2) and (z/2)^-n poles
+        raise PoleError(f"Bessel {kind} is singular at z = 0")
     q = sign * half * half
     try:
         total = c * sum(math.gamma(n - k) / math.gamma(k + 1) * (-sign) ** k
@@ -389,8 +425,6 @@ def bessel(kind: str, nu: float, z: complex) -> complex:
     if not math.isfinite(nu):
         raise DomainError("order must be finite")
     z = complex(z)
-    if z / 2.0 == 0 and kind in ("Y", "K"):
-        raise PoleError(f"Bessel {kind} is singular at z = 0")
     if kind in ("J", "I"):
         val = _bessel_ji(nu, z, -1.0 if kind == "J" else 1.0)
     elif _near_integer(nu, 1e-8) is not None:
@@ -410,21 +444,14 @@ def kelvin_bei_complex(nu: float, z: complex) -> complex:
     bei_nu(x) = sum_k sin(pi (3 nu / 4 + k / 2)) (x/2)^(nu+2k) / (k! Gamma(nu+k+1)),
     summed as its even-k and odd-k halves, each a 0F3 series in -x^4/256.
     """
-    z = complex(z)
-    if z == 0:
-        if nu >= 0:
-            return 0.0 + 0.0j
-        raise PoleError("bei of negative order at z = 0")
     if _negative_integer(nu):
         # bei_n = (-1)^n bei_{-n}
         n = round(nu)
         return (-1.0) ** n * kelvin_bei_complex(float(-n), z)
+    z = complex(z)
     half = z / 2.0
-    if half == 0:  # z/2 underflowed: the k = 0 term alone
-        if nu <= 0:  # the value at z = 0
-            return kelvin_bei_complex(nu, 0j)
-        p = cpow(z, nu) * 2.0 ** -nu
-        return math.sin(0.75 * math.pi * nu) * p / gamma(nu + 1.0) if p else p
+    if half == 0:
+        return _first_term(nu, z, bei=True)
     scale = cpow(half, nu) / gamma(nu + 1.0)
     q = half * half
     w = -q * q / 16.0
@@ -438,11 +465,9 @@ def kelvin_bei(nu: float, x: float) -> float:
     """Kelvin function bei_nu(x) = Im J_nu(x exp(3 i pi / 4)) for x >= 0."""
     if x < 0:
         raise DomainError("kelvin_bei requires x >= 0")
-    if x == 0:
-        if nu < 0 and _near_integer(nu, 1e-9) is None:
-            raise PoleError("bei of negative non-integer order at x = 0")
-        return 0.0
-    return kelvin_bei_complex(nu, complex(x)).real
+    bei = kelvin_bei_complex(nu, complex(x)).real
+    # bei_nu(0) is 0 where it is no pole; the odd-order reflection signs that zero
+    return bei if x else abs(bei)
 
 
 def erfi(x: float) -> float:

@@ -1,8 +1,9 @@
 """Library contract fuzz: a public call returns a finite value or raises a
 typed `CflowError`, never a bare Python error, a nan or a hang.
 
-Scoped to the functions whose results go through `errors._finite`: Bessel
-and bei, the Riccati solutions and the quasi-momentum, and the integrator.
+Scoped to every public function of `specfun` (a guard test keeps it so),
+`kelvin_bei_complex`, the Riccati solutions and the quasi-momentum, and the
+integrator.
 """
 import cmath
 
@@ -34,11 +35,21 @@ def _oscillation(t0, t1):
 
 
 _RICCATI_ARGS = (_COMPLEX, FUZZ_FLOATS, _COMPLEX, _COMPLEX, _BRANCH)
+_PARAMETERS = st.lists(_COMPLEX, max_size=3)
 # name: (call, argument strategies)
 _CALLS = {
+    "clog": (specfun.clog, (_COMPLEX,)),
+    "cpow": (specfun.cpow, (_COMPLEX, _COMPLEX)),
+    "gamma": (specfun.gamma, (_COMPLEX,)),
+    "upper_incomplete_gamma": (specfun.upper_incomplete_gamma, (_COMPLEX, _COMPLEX)),
+    "pfq": (specfun.pfq, (_PARAMETERS, _PARAMETERS, _COMPLEX)),
+    "hyp2f1": (specfun.hyp2f1, (_COMPLEX,) * 4),
     "bessel": (specfun.bessel,
                (st.sampled_from("JYIK"), FUZZ_FLOATS, _COMPLEX)),
+    "kelvin_bei": (specfun.kelvin_bei, (FUZZ_FLOATS, FUZZ_FLOATS)),
     "kelvin_bei_complex": (specfun.kelvin_bei_complex, (FUZZ_FLOATS, _COMPLEX)),
+    "erfi": (specfun.erfi, (FUZZ_FLOATS,)),
+    "poly_via_2f1": (specfun.poly_via_2f1, (_COMPLEX, st.integers())),
     "riccati_u": (_riccati(bethe.riccati_u), _RICCATI_ARGS),
     "riccati_u_derivative": (_riccati(bethe.riccati_u_derivative),
                              _RICCATI_ARGS),
@@ -59,6 +70,22 @@ def _calls(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(call=_calls())
+@example(call=("gamma", (0.3 + 300j,)))
+@example(call=("clog", (0j,)))
+@example(call=("cpow", (1e300 + 5.111317850372871e194j,
+                         3.537180516245468e307 - 2.796378621109468e269j)))
+@example(call=("upper_incomplete_gamma", (0.5 + 0j, -800 + 0j)))
+@example(call=("upper_incomplete_gamma", (0.5 + 1e-320j,
+                                          -1.9615922342466204e-167 + 1.2349283701235214e138j)))
+@example(call=("hyp2f1", (-2.906651396267024e-104 - 3.7302500081294014e128j,
+                          9.44071763370798 + 0j, 0.5 - 1.706910726701473j,
+                          1.0068662475712443e141 - 1e300j)))
+@example(call=("hyp2f1", (-6.172999671011832e-134 - 5e-324j, -1 - 1e300j,
+                          1.0762718445019381 + 2.899534705557189j,
+                          -5.998405098004823e223 + 1.5818466076644072e61j)))
+@example(call=("hyp2f1", (-5.3506514816227726e303 - 2.1389020507396175e122j,
+                          2.0427153380939416 - 1.1329508389490484e-89j, 2j,
+                          1e-320 + 1e-300j)))
 @example(call=("bessel", ("J", 0.5, 1e22)))
 @example(call=("bessel", ("J", 0.5, 1.43e22 + 4.55e22j)))
 @example(call=("bessel", ("J", -0.975, 1.43e22 + 4.55e22j)))
@@ -86,3 +113,8 @@ def test_library_contract_fuzz(call, time_limit):
     except CflowError:
         return
     assert cmath.isfinite(value), (name, args, value)
+
+
+def test_library_contract_fuzz_covers_specfun():
+    # a new public special function cannot skip the fuzz
+    assert set(specfun.__all__) <= set(_CALLS)

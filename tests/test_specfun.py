@@ -62,6 +62,15 @@ def test_complete_gamma_next_to_poles_vs_mpmath(s):
     assert rel_err(sf.gamma(s), want) < 1e-13
 
 
+@pytest.mark.parametrize("s", [0.3 + 300j, 0.3 - 300j, -0.7 + 250j, -5.5 - 400j,
+                               0.49 + 227j, 0.1 + 480j])
+def test_complete_gamma_where_the_reflection_sine_overflows_vs_mpmath(s):
+    # sin(pi s) is past the double range, Gamma(s) is tiny but finite (below
+    # the double range, so 0, at 0.1 + 480i)
+    want = complex(mp.gamma(mp.mpc(s)))
+    assert rel_err(sf.gamma(s), want) < 1e-12
+
+
 def test_gamma_negative_real_argument():
     # The continued analytic function at negative z, principal branch.
     want = complex(mp.gammainc(mp.mpf("0.4"), mp.mpf("-3.0")))
@@ -313,6 +322,8 @@ def test_bessel_wronskian(nu, z):
 
 def test_bei_at_origin():
     assert sf.kelvin_bei(0.0, 0.0) == 0.0
+    # bei_{-1} = -bei_1 reflects a zero, which stays +0.0
+    assert math.copysign(1.0, sf.kelvin_bei(-1.0, 0.0)) == 1.0
 
 
 def test_bei_matches_rotated_bessel():
@@ -355,44 +366,57 @@ _HALF_UNDERFLOWS = [5e-324, -5e-324, 5e-324j]
 
 
 @pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
-@pytest.mark.parametrize("kind, nu", [("Y", 0.0), ("K", 0.0), ("K", 5e-324),
-                                      ("Y", 0.5), ("K", 0.5), ("J", -0.5),
-                                      ("I", -0.5)])
+@pytest.mark.parametrize("kind, nu", [("Y", 0.0), ("K", 0.0), ("K", 5e-324)])
 def test_bessel_pole_where_half_z_underflows(kind, nu, z):
-    # z/2 rounds to 0, so these orders raise as they do at z = 0
+    # z/2 rounds to 0, so integer-order Y and K meet the pole of Log(z/2)
     with pytest.raises(PoleError):
         sf.bessel(kind, nu, z)
 
 
-@pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
+@pytest.mark.parametrize("z", [0.0] + _HALF_UNDERFLOWS)
 def test_bessel_values_where_half_z_underflows(z):
     for kind in ("J", "I"):
         assert sf.bessel(kind, 0.0, z) == 1.0
         assert sf.bessel(kind, -2.0, z) == 0.0
+    # negative integer orders reflect to positive ones, which vanish at 0
+    assert sf.bessel("J", -1.0, z) == 0.0
+    assert sf.kelvin_bei_complex(-1.0, z) == 0.0
 
 
 @pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
 @pytest.mark.parametrize("fn, nu", [("J", 0.001), ("I", 0.01), ("bei", 0.01),
-                                    ("J", 0.5), ("I", 0.25)])
+                                    ("J", 0.5), ("I", 0.25), ("Y", 0.5),
+                                    ("K", 0.5), ("J", -0.5), ("I", -0.5),
+                                    ("bei", -0.5)])
 def test_small_order_where_half_z_underflows_vs_mpmath(fn, nu, z):
-    # z/2 rounds to 0 but (z/2)^nu need not: the series is its first term
+    # z/2 rounds to 0 but (z/2)^nu need not: the series is its first term,
+    # and non-integer Y and K follow from J or I at +-nu
     if fn == "bei":
         got, want = sf.kelvin_bei_complex(nu, z), mp.bei(nu, mp.mpc(z))
     else:
-        got = sf.bessel(fn, nu, z)
-        want = (mp.besselj if fn == "J" else mp.besseli)(nu, mp.mpc(z))
+        got, want = sf.bessel(fn, nu, z), _MP_BESSEL[fn](nu, mp.mpc(z))
     assert rel_err(got, complex(want)) < 1e-13
 
 
 @pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
-def test_bei_pole_where_half_z_underflows(z):
-    with pytest.raises(PoleError):
-        sf.kelvin_bei_complex(-0.5, z)
+@pytest.mark.parametrize("fn", ["J", "Y", "I", "K", "bei"])
+def test_order_below_minus_one_overflows_where_half_z_underflows(fn, z):
+    # (z/2)^-1.5 is about 1e485 here
+    with pytest.raises(Overflow):
+        if fn == "bei":
+            sf.kelvin_bei_complex(-1.5, z)
+        else:
+            sf.bessel(fn, -1.5, z)
 
 
 def test_bei_errors():
     with pytest.raises(PoleError):
         sf.kelvin_bei(-1.0 / 3.0, 0.0)
+    # 1e-10 from a negative integer is a non-integer order, as in the complex path
+    with pytest.raises(PoleError):
+        sf.kelvin_bei(-1 + 1e-10, 0.0)
+    with pytest.raises(PoleError):
+        sf.kelvin_bei_complex(-1 + 1e-10, 0.0)
     with pytest.raises(DomainError):
         sf.kelvin_bei(0.0, -1.0)
 
