@@ -15,8 +15,10 @@ running sum, and it raises ``NonConvergence`` after ``MAX_TERMS`` terms.
 
 Where z/2 is 0 or underflows, J, I and bei are their first series term
 (``_first_term``) and non-integer Y and K follow from J and I at +-nu, so
-only integer-order Y and K raise PoleError at every such z; the others do
-at z = 0 alone, for a negative non-integer order.
+only integer-order Y and K raise PoleError at every such z.  At z = 0, J, I
+and bei raise it for a negative non-integer order, and non-integer Y and K
+for every order but the negative half-integers of Y, where
+Y_nu = -J_-nu / sin(pi nu) is 0.
 """
 from __future__ import annotations
 
@@ -430,8 +432,9 @@ def bessel(kind: str, nu: float, z: complex) -> complex:
     elif _near_integer(nu, 1e-8) is not None:
         val = _bessel_yk_int(kind, round(nu), z)
     elif kind == "Y":
-        val = (_bessel_ji(nu, z, -1.0) * math.cos(math.pi * nu)
-               - _bessel_ji(-nu, z, -1.0)) / math.sin(math.pi * nu)
+        # cos(pi nu) is exactly 0 at half-integer orders, not math.cos's 6e-17
+        jc = _bessel_ji(nu, z, -1.0) * math.cos(math.pi * nu) if (nu - 0.5) % 1.0 else 0.0
+        val = (jc - _bessel_ji(-nu, z, -1.0)) / math.sin(math.pi * nu)
     else:
         val = (math.pi / 2.0 * (_bessel_ji(-nu, z, 1.0) - _bessel_ji(nu, z, 1.0))
                / math.sin(math.pi * nu))

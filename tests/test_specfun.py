@@ -381,13 +381,15 @@ def test_bessel_values_where_half_z_underflows(z):
     # negative integer orders reflect to positive ones, which vanish at 0
     assert sf.bessel("J", -1.0, z) == 0.0
     assert sf.kelvin_bei_complex(-1.0, z) == 0.0
+    # Y_-1.5 = J_1.5, whose first term underflows
+    assert sf.bessel("Y", -1.5, z) == 0.0
 
 
 @pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
 @pytest.mark.parametrize("fn, nu", [("J", 0.001), ("I", 0.01), ("bei", 0.01),
                                     ("J", 0.5), ("I", 0.25), ("Y", 0.5),
                                     ("K", 0.5), ("J", -0.5), ("I", -0.5),
-                                    ("bei", -0.5)])
+                                    ("Y", -0.5), ("bei", -0.5)])
 def test_small_order_where_half_z_underflows_vs_mpmath(fn, nu, z):
     # z/2 rounds to 0 but (z/2)^nu need not: the series is its first term,
     # and non-integer Y and K follow from J or I at +-nu
@@ -399,7 +401,7 @@ def test_small_order_where_half_z_underflows_vs_mpmath(fn, nu, z):
 
 
 @pytest.mark.parametrize("z", _HALF_UNDERFLOWS)
-@pytest.mark.parametrize("fn", ["J", "Y", "I", "K", "bei"])
+@pytest.mark.parametrize("fn", ["J", "I", "K", "bei"])
 def test_order_below_minus_one_overflows_where_half_z_underflows(fn, z):
     # (z/2)^-1.5 is about 1e485 here
     with pytest.raises(Overflow):
@@ -407,6 +409,15 @@ def test_order_below_minus_one_overflows_where_half_z_underflows(fn, z):
             sf.kelvin_bei_complex(-1.5, z)
         else:
             sf.bessel(fn, -1.5, z)
+
+
+@pytest.mark.parametrize("z", [1e-300, 1e-20, 1e-10, 1.0, 2.5 + 1j])
+@pytest.mark.parametrize("nu", [-0.5, -1.5, -30.5, 0.5])
+def test_y_half_integer_order_vs_mpmath(nu, z):
+    # cos(pi nu) = 0 there; with math.cos's 6e-17 the J_nu term swamped
+    # Y_-0.5(1e-20) = 8e-11 as -4.9e-7
+    got, want = sf.bessel("Y", nu, z), mp.bessely(nu, mp.mpc(z))
+    assert rel_err(got, complex(want)) < 1e-13
 
 
 def test_bei_errors():
