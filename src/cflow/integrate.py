@@ -1,16 +1,21 @@
-"""Dormand–Prince 5(4) for complex-valued ODE systems along a polyline of nodes.
+"""Dormand–Prince 8(5,3) for complex-valued ODE systems along a polyline of nodes.
 
 The polyline is taken apart into straight runs, split at its kinks.  Along
-each run the stepper advances freely by arc length with the embedded
-Dormand–Prince 5(4) pair (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.5):
-seven stages, the last of which is the first of the next step (FSAL), so six
-new RHS evaluations per step.  A step is accepted when the RMS over the
-components of the 4th-order error estimate, each scaled by
-RTOL * |y| + ATOL, is at most 1.  The nodes inside an accepted step are read
-off Shampine's 4th-order continuous extension (Math. Comp. 46 (1986) 135;
-HNW §II.6), so the node spacing does not limit the step.  A step lands
-exactly on every kink and on the last node; the step length carries over from
-one run to the next.
+each run the stepper advances freely by arc length with DOP853, the
+eighth-order Runge–Kutta pair of Prince & Dormand (J. Comput. Appl. Math. 7
+(1981) 67) in the form of Hairer, Nørsett & Wanner (*Solving ODEs I*,
+§II.10), which those authors recommend for tolerances below about 1e-7:
+twelve stages plus f(t + h, y1), which is the first stage of the next step
+(FSAL), so twelve RHS evaluations per step.  The error estimate combines the
+5th- and 3rd-order embedded differences as E5²/√(n (E5² + 0.01 E3²)), where
+E5² and E3² sum over the n components the squares of each difference scaled
+by ATOL + RTOL * max(|y|, |y1|); a step is accepted when the estimate is at
+most 1, and the next step length scales as err^(−1/8).  The nodes inside
+an accepted step, and a blow-up crossing, are read off DOP853's 7th-order
+continuous extension (HNW §II.6), so the node spacing does not limit the
+step; the extension costs three more RHS evaluations, on those steps only.  A
+step lands exactly on every kink and on the last node; the step length
+carries over from one run to the next.
 
 The state is held as plain Python complex numbers, a tuple for a system; the
 RHS returns a tuple (or a complex number for a scalar flow).  The tolerances
@@ -28,72 +33,274 @@ from .errors import BlowUp, DomainError, FlowStopped, StepSizeUnderflow
 RTOL = 1e-11
 ATOL = 1e-13
 MIN_STEP = 1e-16   # smallest step, as a fraction of the run length
-MAX_STEPS = 100_000  # most steps, accepted or rejected, one call may attempt
+MAX_STEPS = 20_000  # most steps, accepted or rejected, one call may attempt
 STRAIGHT = 1e-9    # largest change of direction inside one straight run
 
-# Dormand–Prince 5(4): nodes, stages, 5th-order weights, error weights
-# (5th minus 4th order) and Shampine's dense-output weights.
-C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-A21 = 1 / 5
-A31, A32 = 3 / 40, 9 / 40
-A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
-A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-A61, A62, A63, A64, A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                           -5103 / 18656)
-B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-E1, E3, E4, E5, E6, E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
-                          22 / 525, -1 / 40)
-D1, D3, D4, D5, D6, D7 = (-12715105075 / 11282082432, 87487479700 / 32700410799,
-                          -10690763975 / 1880347072, 701980252875 / 199316789632,
-                          -1453857185 / 822651844, 69997945 / 29380423)
+# DOP853 (Hairer's dop853.f): nodes C, stages A, 8th-order weights B, the
+# 3rd-order weights BHH (on k1, k9, k12), the 5th-order error weights ER, the
+# three extra stages of the continuous extension and its weights D4..D7.
+C2 = 0.526001519587677318785587544488e-01
+C3 = 0.789002279381515978178381316732e-01
+C4 = 0.118350341907227396726757197510
+C5 = 0.281649658092772603273242802490
+C6 = 0.333333333333333333333333333333
+C7 = 0.25
+C8 = 0.307692307692307692307692307692
+C9 = 0.651282051282051282051282051282
+C10 = 0.6
+C11 = 0.857142857142857142857142857142
+C14 = 0.1
+C15 = 0.2
+C16 = 0.777777777777777777777777777778
+
+A21 = 5.26001519587677318785587544488e-2
+A31 = 1.97250569845378994544595329183e-2
+A32 = 5.91751709536136983633785987549e-2
+A41 = 2.95875854768068491816892993775e-2
+A43 = 8.87627564304205475450678981324e-2
+A51 = 2.41365134159266685502369798665e-1
+A53 = -8.84549479328286085344864962717e-1
+A54 = 9.24834003261792003115737966543e-1
+A61 = 3.7037037037037037037037037037e-2
+A64 = 1.70828608729473871279604482173e-1
+A65 = 1.25467687566822425016691814123e-1
+A71 = 3.7109375e-2
+A74 = 1.70252211019544039314978060272e-1
+A75 = 6.02165389804559606850219397283e-2
+A76 = -1.7578125e-2
+A81 = 3.70920001185047927108779319836e-2
+A84 = 1.70383925712239993810214054705e-1
+A85 = 1.07262030446373284651809199168e-1
+A86 = -1.53194377486244017527936158236e-2
+A87 = 8.27378916381402288758473766002e-3
+A91 = 6.24110958716075717114429577812e-1
+A94 = -3.36089262944694129406857109825
+A95 = -8.68219346841726006818189891453e-1
+A96 = 2.75920996994467083049415600797e1
+A97 = 2.01540675504778934086186788979e1
+A98 = -4.34898841810699588477366255144e1
+A101 = 4.77662536438264365890433908527e-1
+A104 = -2.48811461997166764192642586468
+A105 = -5.90290826836842996371446475743e-1
+A106 = 2.12300514481811942347288949897e1
+A107 = 1.52792336328824235832596922938e1
+A108 = -3.32882109689848629194453265587e1
+A109 = -2.03312017085086261358222928593e-2
+A111 = -9.3714243008598732571704021658e-1
+A114 = 5.18637242884406370830023853209
+A115 = 1.09143734899672957818500254654
+A116 = -8.14978701074692612513997267357
+A117 = -1.85200656599969598641566180701e1
+A118 = 2.27394870993505042818970056734e1
+A119 = 2.49360555267965238987089396762
+A1110 = -3.0467644718982195003823669022
+A121 = 2.27331014751653820792359768449
+A124 = -1.05344954667372501984066689879e1
+A125 = -2.00087205822486249909675718444
+A126 = -1.79589318631187989172765950534e1
+A127 = 2.79488845294199600508499808837e1
+A128 = -2.85899827713502369474065508674
+A129 = -8.87285693353062954433549289258
+A1210 = 1.23605671757943030647266201528e1
+A1211 = 6.43392746015763530355970484046e-1
+
+B1 = 5.42937341165687622380535766363e-2
+B6 = 4.45031289275240888144113950566
+B7 = 1.89151789931450038304281599044
+B8 = -5.8012039600105847814672114227
+B9 = 3.1116436695781989440891606237e-1
+B10 = -1.52160949662516078556178806805e-1
+B11 = 2.01365400804030348374776537501e-1
+B12 = 4.47106157277725905176885569043e-2
+
+BHH1 = 0.244094488188976377952755905512
+BHH2 = 0.733846688281611857341361741547
+BHH3 = 0.220588235294117647058823529412e-1
+
+ER1 = 0.1312004499419488073250102996e-1
+ER6 = -0.1225156446376204440720569753e+1
+ER7 = -0.4957589496572501915214079952
+ER8 = 0.1664377182454986536961530415e+1
+ER9 = -0.3503288487499736816886487290
+ER10 = 0.3341791187130174790297318841
+ER11 = 0.8192320648511571246570742613e-1
+ER12 = -0.2235530786388629525884427845e-1
+
+A141 = 5.61675022830479523392909219681e-2
+A147 = 2.53500210216624811088794765333e-1
+A148 = -2.46239037470802489917441475441e-1
+A149 = -1.24191423263816360469010140626e-1
+A1410 = 1.5329179827876569731206322685e-1
+A1411 = 8.20105229563468988491666602057e-3
+A1412 = 7.56789766054569976138603589584e-3
+A1413 = -8.298e-3
+A151 = 3.18346481635021405060768473261e-2
+A156 = 2.83009096723667755288322961402e-2
+A157 = 5.35419883074385676223797384372e-2
+A158 = -5.49237485713909884646569340306e-2
+A1511 = -1.08347328697249322858509316994e-4
+A1512 = 3.82571090835658412954920192323e-4
+A1513 = -3.40465008687404560802977114492e-4
+A1514 = 1.41312443674632500278074618366e-1
+A161 = -4.28896301583791923408573538692e-1
+A166 = -4.69762141536116384314449447206
+A167 = 7.68342119606259904184240953878
+A168 = 4.06898981839711007970213554331
+A169 = 3.56727187455281109270669543021e-1
+A1613 = -1.39902416515901462129418009734e-3
+A1614 = 2.9475147891527723389556272149
+A1615 = -9.15095847217987001081870187138
+
+D41 = -0.84289382761090128651353491142e+1
+D46 = 0.56671495351937776962531783590
+D47 = -0.30689499459498916912797304727e+1
+D48 = 0.23846676565120698287728149680e+1
+D49 = 0.21170345824450282767155149946e+1
+D410 = -0.87139158377797299206789907490
+D411 = 0.22404374302607882758541771650e+1
+D412 = 0.63157877876946881815570249290
+D413 = -0.88990336451333310820698117400e-1
+D414 = 0.18148505520854727256656404962e+2
+D415 = -0.91946323924783554000451984436e+1
+D416 = -0.44360363875948939664310572000e+1
+D51 = 0.10427508642579134603413151009e+2
+D56 = 0.24228349177525818288430175319e+3
+D57 = 0.16520045171727028198505394887e+3
+D58 = -0.37454675472269020279518312152e+3
+D59 = -0.22113666853125306036270938578e+2
+D510 = 0.77334326684722638389603898808e+1
+D511 = -0.30674084731089398182061213626e+2
+D512 = -0.93321305264302278729567221706e+1
+D513 = 0.15697238121770843886131091075e+2
+D514 = -0.31139403219565177677282850411e+2
+D515 = -0.93529243588444783865713862664e+1
+D516 = 0.35816841486394083752465898540e+2
+D61 = 0.19985053242002433820987653617e+2
+D66 = -0.38703730874935176555105901742e+3
+D67 = -0.18917813819516756882830838328e+3
+D68 = 0.52780815920542364900561016686e+3
+D69 = -0.11573902539959630126141871134e+2
+D610 = 0.68812326946963000169666922661e+1
+D611 = -0.10006050966910838403183860980e+1
+D612 = 0.77771377980534432092869265740
+D613 = -0.27782057523535084065932004339e+1
+D614 = -0.60196695231264120758267380846e+2
+D615 = 0.84320405506677161018159903784e+2
+D616 = 0.11992291136182789328035130030e+2
+D71 = -0.25693933462703749003312586129e+2
+D76 = -0.15418974869023643374053993627e+3
+D77 = -0.23152937917604549567536039109e+3
+D78 = 0.35763911791061412378285349910e+3
+D79 = 0.93405324183624310003907691704e+2
+D710 = -0.37458323136451633156875139351e+2
+D711 = 0.10409964950896230045147246184e+3
+D712 = 0.29840293426660503123344363579e+2
+D713 = -0.43533456590011143754432175058e+2
+D714 = 0.96324553959188282948394950600e+2
+D715 = -0.39177261675615439165231486172e+2
+D716 = -0.14972683625798562581422125276e+3
 
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 def _dp_step(f, t, y, k1, dt):
-    """One Dormand–Prince step of (complex) length dt from (t, y), f(t, y) = k1.
+    """One DOP853 step of (complex) length dt from (t, y), f(t, y) = k1.
 
-    Returns the 5th-order y at t + dt, the scaled RMS error estimate (not
-    finite when any stage is not) and the stages k1..k7, k7 = f(t + dt, y1).
+    Returns the 8th-order y at t + dt, the scaled error estimate (not
+    finite when any stage is not) and the stages k1..k13, k13 = f(t + dt, y1).
     """
-    k2 = f(t + C2 * dt, tuple(a + dt * (A21 * p) for a, p in zip(y, k1)))
-    k3 = f(t + C3 * dt, tuple(a + dt * (A31 * p + A32 * q)
-                              for a, p, q in zip(y, k1, k2)))
-    k4 = f(t + C4 * dt, tuple(a + dt * (A41 * p + A42 * q + A43 * r)
-                              for a, p, q, r in zip(y, k1, k2, k3)))
-    k5 = f(t + C5 * dt, tuple(a + dt * (A51 * p + A52 * q + A53 * r + A54 * s)
-                              for a, p, q, r, s in zip(y, k1, k2, k3, k4)))
-    k6 = f(t + dt, tuple(a + dt * (A61 * p + A62 * q + A63 * r + A64 * s + A65 * v)
-                         for a, p, q, r, s, v in zip(y, k1, k2, k3, k4, k5)))
-    y1 = tuple(a + dt * (B1 * p + B3 * r + B4 * s + B5 * v + B6 * w)
-               for a, p, r, s, v, w in zip(y, k1, k3, k4, k5, k6))
-    k7 = f(t + dt, y1)
-    ks = (k1, k2, k3, k4, k5, k6, k7)
-    err = math.sqrt(sum(
-        (abs(dt * (E1 * p + E3 * r + E4 * s + E5 * v + E6 * w + E7 * x))
-         / (ATOL + RTOL * max(abs(a), abs(b)))) ** 2 for a, b, p, r, s, v, w, x
-        in zip(y, y1, k1, k3, k4, k5, k6, k7)) / len(y))
+    k2 = f(t + C2 * dt, [a + dt * (A21 * p) for a, p in zip(y, k1)])
+    k3 = f(t + C3 * dt, [a + dt * (A31 * p + A32 * q)
+                              for a, p, q in zip(y, k1, k2)])
+    k4 = f(t + C4 * dt, [a + dt * (A41 * p + A43 * r)
+                              for a, p, r in zip(y, k1, k3)])
+    k5 = f(t + C5 * dt, [a + dt * (A51 * p + A53 * r + A54 * s)
+                              for a, p, r, s in zip(y, k1, k3, k4)])
+    k6 = f(t + C6 * dt, [a + dt * (A61 * p + A64 * s + A65 * v)
+                              for a, p, s, v in zip(y, k1, k4, k5)])
+    k7 = f(t + C7 * dt, [a + dt * (A71 * p + A74 * s + A75 * v + A76 * w)
+                              for a, p, s, v, w in zip(y, k1, k4, k5, k6)])
+    k8 = f(t + C8 * dt, [
+        a + dt * (A81 * p + A84 * s + A85 * v + A86 * w + A87 * x)
+        for a, p, s, v, w, x in zip(y, k1, k4, k5, k6, k7)])
+    k9 = f(t + C9 * dt, [
+        a + dt * (A91 * p + A94 * s + A95 * v + A96 * w + A97 * x + A98 * z)
+        for a, p, s, v, w, x, z in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = f(t + C10 * dt, [
+        a + dt * (A101 * p + A104 * s + A105 * v + A106 * w + A107 * x
+                  + A108 * z + A109 * q)
+        for a, p, s, v, w, x, z, q in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = f(t + C11 * dt, [
+        a + dt * (A111 * p + A114 * s + A115 * v + A116 * w + A117 * x
+                  + A118 * z + A119 * q + A1110 * r)
+        for a, p, s, v, w, x, z, q, r in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = f(t + dt, [
+        a + dt * (A121 * p + A124 * s + A125 * v + A126 * w + A127 * x
+                  + A128 * z + A129 * q + A1210 * r + A1211 * e)
+        for a, p, s, v, w, x, z, q, r, e
+        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+    ws = [B1 * p + B6 * w + B7 * x + B8 * z + B9 * q + B10 * r + B11 * e
+          + B12 * o for p, w, x, z, q, r, e, o
+          in zip(k1, k6, k7, k8, k9, k10, k11, k12)]
+    y1 = tuple(a + dt * b for a, b in zip(y, ws))
+    k13 = f(t + dt, y1)
+    ks = (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13)
+    # dt enters each term before squaring, so tiny steps over huge stages
+    # do not overflow
+    e5 = e3 = 0.0
+    for a, b, c, p, w, x, z, q, r, e, o in zip(y, y1, ws, k1, k6, k7, k8, k9,
+                                                k10, k11, k12):
+        sc = ATOL + RTOL * max(abs(a), abs(b))
+        e5 += (abs(dt * (ER1 * p + ER6 * w + ER7 * x + ER8 * z + ER9 * q
+                         + ER10 * r + ER11 * e + ER12 * o)) / sc) ** 2
+        e3 += (abs(dt * (c - BHH1 * p - BHH2 * q - BHH3 * o)) / sc) ** 2
+    err = e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 else 0.0
     # A non-finite stage fails the error test, even one the estimate omits.
-    if not cmath.isfinite(sum(map(sum, ks)) + sum(y1)):
+    if not (err < math.inf and cmath.isfinite(sum(map(sum, ks)) + sum(y1))):
         err = math.inf
     return y1, err, ks
 
 
-def _dense(y, y1, dt, ks):
-    """Coefficients of Shampine's continuous extension over one step."""
-    k1, _, k3, k4, k5, k6, k7 = ks
-    r2 = tuple(b - a for a, b in zip(y, y1))
-    r3 = tuple(dt * p - d for p, d in zip(k1, r2))
-    r4 = tuple(d - dt * x - e for d, x, e in zip(r2, k7, r3))
-    r5 = tuple(dt * (D1 * p + D3 * r + D4 * s + D5 * v + D6 * w + D7 * x)
-               for p, r, s, v, w, x in zip(k1, k3, k4, k5, k6, k7))
-    return tuple(zip(y, r2, r3, r4, r5))
+def _dense(f, t, y, y1, dt, ks):
+    """Coefficients of DOP853's continuous extension over one step.
+
+    Costs the three extra stages k14..k16.
+    """
+    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12, k13 = ks
+    k14 = f(t + C14 * dt, [
+        a + dt * (A141 * p + A147 * x + A148 * z + A149 * q + A1410 * r
+                  + A1411 * e + A1412 * o + A1413 * g)
+        for a, p, x, z, q, r, e, o, g in zip(y, k1, k7, k8, k9, k10, k11, k12, k13)])
+    k15 = f(t + C15 * dt, [
+        a + dt * (A151 * p + A156 * w + A157 * x + A158 * z + A1511 * e
+                  + A1512 * o + A1513 * g + A1514 * m)
+        for a, p, w, x, z, e, o, g, m in zip(y, k1, k6, k7, k8, k11, k12, k13, k14)])
+    k16 = f(t + C16 * dt, [
+        a + dt * (A161 * p + A166 * w + A167 * x + A168 * z + A169 * q
+                  + A1613 * g + A1614 * m + A1615 * n)
+        for a, p, w, x, z, q, g, m, n in zip(y, k1, k6, k7, k8, k9, k13, k14, k15)])
+    cont = []
+    for a, b, p, w, x, z, q, r, e, o, g, m, n, v in zip(
+            y, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16):
+        d = b - a
+        cont.append((
+            a, d, dt * p - d, 2.0 * d - dt * (g + p),
+            dt * (D41 * p + D46 * w + D47 * x + D48 * z + D49 * q + D410 * r
+                  + D411 * e + D412 * o + D413 * g + D414 * m + D415 * n + D416 * v),
+            dt * (D51 * p + D56 * w + D57 * x + D58 * z + D59 * q + D510 * r
+                  + D511 * e + D512 * o + D513 * g + D514 * m + D515 * n + D516 * v),
+            dt * (D61 * p + D66 * w + D67 * x + D68 * z + D69 * q + D610 * r
+                  + D611 * e + D612 * o + D613 * g + D614 * m + D615 * n + D616 * v),
+            dt * (D71 * p + D76 * w + D77 * x + D78 * z + D79 * q + D710 * r
+                  + D711 * e + D712 * o + D713 * g + D714 * m + D715 * n + D716 * v)))
+    return cont
 
 
 def _interp(cont, ths):
     """y at each fraction th in ths of the step, from the coefficients of `_dense`."""
-    return list(zip(*[[a + th * (b + (1.0 - th) * (c + th * (d + (1.0 - th) * e)))
-                       for th in ths] for a, b, c, d, e in cont]))
+    return list(zip(*[[a + th * (r0 + (1.0 - th) * (r1 + th * (r2 + (1.0 - th) * (
+        r3 + th * (r4 + (1.0 - th) * (r5 + th * r6)))))) for th in ths]
+        for a, r0, r1, r2, r3, r4, r5, r6 in cont]))
 
 
 def _norm(y):
@@ -112,9 +319,9 @@ def solve_rk4(f, nodes, y0, blowup=None):
     exceeds the threshold, at the t where the continuous extension crosses
     it.  A call attempts at most ``MAX_STEPS`` steps, accepted or rejected,
     over all its runs, and raises FlowStopped at the next; the runs of the
-    library need under 2,000.  BlowUp, StepSizeUnderflow and FlowStopped
-    carry the t where the integration stopped (``tau_star``) and y at every
-    node before it (``samples``).
+    tests and the benchmark need under 300.  BlowUp, StepSizeUnderflow and
+    FlowStopped carry the t where the integration stopped (``tau_star``) and
+    y at every node before it (``samples``).
     """
     scalar = isinstance(y0, numbers.Number)
     if scalar:
@@ -165,26 +372,31 @@ def solve_rk4(f, nodes, y0, blowup=None):
             clamped = u + 1.01 * h >= length
             step = length - u if clamped else h
             dt = tb - t if clamped else step * unit
+            u1 = length if clamped else u + step
             try:
                 if k1 is None:
                     k1 = f(t, y)
                 y1, err, ks = _dp_step(f, t, y, k1, dt)
+                diverged = blowup is not None and _norm(y1) > blowup[0]
+                if err <= 1.0 and (diverged or m < len(arcs) and arcs[m] < u1):
+                    # the continuous extension, for the crossing or the nodes
+                    # inside the step; a non-finite one fails the step
+                    cont = _dense(f, t, y, y1, dt, ks)
+                    if not cmath.isfinite(sum(map(sum, cont))):
+                        err = math.inf
             except (OverflowError, ZeroDivisionError):
                 err = math.inf
             if not err <= 1.0:
-                h = step * (max(MIN_FACTOR, SAFETY * err ** -0.2) if err < math.inf
+                h = step * (max(MIN_FACTOR, SAFETY * err ** -0.125) if err < math.inf
                             else MIN_FACTOR)
                 rejected = True
                 if h < length * MIN_STEP or h == 0:
                     raise StepSizeUnderflow(f"step underflow at t = {t}",
                                             tau_star=t, samples=unpack(out))
                 continue
-            u1 = length if clamped else u + step
-            cont, limit = None, u1
-            diverged = blowup is not None and _norm(y1) > blowup[0]
+            limit = u1
             if diverged:
                 # bisect the continuous extension for the threshold crossing
-                cont = _dense(y, y1, dt, ks)
                 lo, hi = 0.0, 1.0
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
@@ -199,7 +411,7 @@ def solve_rk4(f, nodes, y0, blowup=None):
                 ths.append((arcs[m] - u) / step)
                 m += 1
             if ths:
-                out += _interp(cont or _dense(y, y1, dt, ks), ths)
+                out += _interp(cont, ths)
             if diverged:
                 t_star = t + hi * dt
                 raise BlowUp(f"{blowup[1]} diverged at flow parameter {t_star}",
@@ -208,7 +420,7 @@ def solve_rk4(f, nodes, y0, blowup=None):
             while m < len(arcs) and (arcs[m] == u1 or clamped):
                 out.append(y1)
                 m += 1
-            fac = SAFETY * err ** -0.2 if err > 0 else MAX_FACTOR
+            fac = SAFETY * err ** -0.125 if err > 0 else MAX_FACTOR
             fac = min(1.0 if rejected else MAX_FACTOR, max(MIN_FACTOR, fac))
             h = max(h, step * fac) if clamped else step * fac
             t = tb if clamped else ta + u1 * unit

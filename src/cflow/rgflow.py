@@ -132,8 +132,10 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
 
     separated_v1 integrates dt/dgamma = -3 t^{3/2} gamma^{-1/2} for
     t = gamma^3/g_inv^2 (so (2/3) g_inv = 2 gamma^2 + C gamma^{3/2} is
-    conserved) and reports g_inv = gamma^{3/2}/sqrt(t); appendix_v2 evaluates
-    the level set g_inv = gamma sqrt(log(1/gamma) + C) directly.
+    conserved) and reports g_inv = gamma^{3/2}/sqrt(t), raising DomainError at
+    the first gamma where the drift of that invariant shows g_inv off by more
+    than 1e-9 relative; appendix_v2 evaluates the level set
+    g_inv = gamma sqrt(log(1/gamma) + C) directly.
 
     Returns (trajectory, invariants) with one invariant value per sample.
     """
@@ -156,8 +158,13 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
                                   f"at gamma = {g}")
             # inf where t underflowed to 0; g ** 1.5 itself may raise OverflowError
             g_inv = _finite(g ** 1.5 / math.sqrt(t) if t else g ** 1.5 * math.inf, "one-loop g_inv")
+            # the invariant witnesses g_inv: its drift over (2/3) t^{-1/2} =
+            # C + 2 sqrt(gamma) is the relative error of g_inv
+            level = (2.0 / 3.0) * t ** -0.5
+            invariants.append(level - 2.0 * math.sqrt(g))
+            if abs(invariants[-1] - invariants[0]) > 1e-9 * level:
+                raise DomainError(f"one-loop g_inv cannot be held to 1e-9 at gamma = {g}")
             states.append(FlowState(g, g_inv, g))
-            invariants.append((2.0 / 3.0) * t ** -0.5 - 2.0 * math.sqrt(g))
     elif variant == "appendix_v2":
         for g in gammas:
             arg = math.log(1.0 / g) + C
@@ -175,7 +182,7 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
 # N-power and left-right flows
 # ---------------------------------------------------------------------------
 
-BLOWUP_G = 1e12
+BLOWUP_G = 1e10
 _BLOWUP = (BLOWUP_G, "inverse propagator")
 
 

@@ -78,6 +78,13 @@ class TestOneLoopInvariantFlow:
         with pytest.raises(DomainError):
             rg.one_loop_invariant_flow("separated_v1", grid, 1.0)
 
+    @pytest.mark.parametrize("gamma_end", [1e10, 1e13])
+    def test_v1_g_inv_off_its_level_set_raises(self, gamma_end):
+        # t ~ 1/(9 gamma) falls to where ATOL, not RTOL, bounds its error
+        grid = np.linspace(1e7, gamma_end, 43)
+        with pytest.raises(DomainError, match="gamma = "):
+            rg.one_loop_invariant_flow("separated_v1", grid, 1.0)
+
     def test_v1_invariant_drift_below_tolerance(self):
         grid = np.linspace(0.1, 1.0, 60)
         C0 = (2.0 / 3.0) * 4.0 ** -0.5 - 2.0 * math.sqrt(0.1)  # t0 = 4 at gamma0
@@ -143,7 +150,18 @@ class TestNPowerFlow:
         lhs = cmath.log(traj.states[-1].gamma / traj.states[0].gamma)
         assert abs(lhs - integral) < 1e-5
 
-    def test_fixed_step_convergence_order_at_least_five(self):
+    @pytest.mark.parametrize("g0", [0.8, 1.0, 1.25])
+    def test_node_on_the_pole_gets_no_sample(self, g0):
+        # g_inv = g0/(1 - g0 tau) has its pole on the node tau = 1/g0
+        contour = rg.ray_contour(0.0, 2.0, 41)
+        with pytest.raises(BlowUp) as exc:
+            rg.n_power_flow(rg.FlowState(0.0, g0, 0.0), 2, contour)
+        pole = round(20 / g0)
+        assert abs(contour[pole] - 1.0 / g0) < 1e-15
+        assert abs(complex(exc.value.tau_star) - 1.0 / g0) < 1e-9
+        assert len(exc.value.samples) == pole
+
+    def test_fixed_step_convergence_order_at_least_eight(self):
         def rhs(tau, y):
             g, gam = y
             return (g * g - gam * gam, gam * g)
@@ -158,12 +176,12 @@ class TestNPowerFlow:
                 k = ks[-1]
             return np.array(y)
 
-        # 16 and 32 steps keep both errors (1.6e-11, 5.2e-13) far above the
+        # 2 and 4 steps keep both errors (4.4e-11, 1.4e-13) far above the
         # rounding error of the reference (a few 1e-15)
         ref = integrate(512)
-        e1 = np.max(np.abs(integrate(16) - ref))
-        e2 = np.max(np.abs(integrate(32) - ref))
-        assert math.log2(e1 / e2) > 4.7
+        e1 = np.max(np.abs(integrate(2) - ref))
+        e2 = np.max(np.abs(integrate(4) - ref))
+        assert math.log2(e1 / e2) > 7.5
 
     @pytest.mark.xfail(strict=True, reason="the separated one-loop ODE in "
                        "(t, gamma) and the N=1 tau-flow are analytically "
