@@ -174,8 +174,11 @@ def coupling_angle_portrait(n: int, z0: complex, step: float = 1e-3,
     ``flip_sign`` selects the opposite convention.  Within ``coast`` of the
     stationary points z = 0 and z = 1 the previous direction is held, so a
     loop through a stationary point is traversed as a closed geometric curve.
-    Integration stops at the first return to the start point, on escape
-    (|z| > 4), or after ``max_steps`` steps.
+    For even n the curve runs into the double zero z = 0, and once it has
+    passed through a coast hold there its course depends on rounding: one ulp
+    in z0 can change its length and its winding number.  Integration stops
+    at the first return to the start point, on escape (|z| > 4), or after
+    ``max_steps`` steps.
     """
     if step <= 0 or max_steps < 1 or coast < 0:
         raise DomainError("step and max_steps must be positive, coast nonnegative")

@@ -17,10 +17,12 @@ step; the extension costs three more RHS evaluations, on those steps only.  A
 step lands exactly on every kink and on the last node; the step length
 carries over from one run to the next.
 
-The state is held as plain Python complex numbers, a tuple for a system; the
-RHS returns a tuple (or a complex number for a scalar flow).  The tolerances
-come from the 1e-9 accuracy wanted at the nodes: the global error runs about
-ten to a hundred times RTOL.
+The state is a scalar or a pair of plain Python complex numbers, the only
+shapes the flows integrate; the RHS returns a complex number for a scalar and
+a pair (a tuple or a length-2 array) for a pair.  The step is written out for
+a pair, and a scalar rides in its first slot with 0 in the second.  The
+tolerances come from the 1e-9 accuracy wanted at the nodes: the global error
+runs about ten to a hundred times RTOL.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import cmath
 import math
 import numbers
 
-from .errors import BlowUp, DomainError, FlowStopped, StepSizeUnderflow
+from .errors import BlowUp, DimensionMismatch, DomainError, FlowStopped, StepSizeUnderflow
 
 RTOL = 1e-11
 ATOL = 1e-13
@@ -203,117 +205,164 @@ D716 = -0.14972683625798562581422125276e+3
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _dp_step(f, t, y, k1, dt):
+def _dp_step(f, t, y, k1, dt, n):
     """One DOP853 step of (complex) length dt from (t, y), f(t, y) = k1.
 
-    Returns the 8th-order y at t + dt, the scaled error estimate (not
-    finite when any stage is not) and the stages k1..k13, k13 = f(t + dt, y1).
+    y and every stage are pairs; n, the dimension of the caller's system (1
+    or 2), divides the error norm.  Returns the 8th-order y at t + dt, the
+    scaled error estimate (not finite when any stage is not) and the stages
+    k1..k13, k13 = f(t + dt, y1).
     """
-    k2 = f(t + C2 * dt, [a + dt * (A21 * p) for a, p in zip(y, k1)])
-    k3 = f(t + C3 * dt, [a + dt * (A31 * p + A32 * q)
-                              for a, p, q in zip(y, k1, k2)])
-    k4 = f(t + C4 * dt, [a + dt * (A41 * p + A43 * r)
-                              for a, p, r in zip(y, k1, k3)])
-    k5 = f(t + C5 * dt, [a + dt * (A51 * p + A53 * r + A54 * s)
-                              for a, p, r, s in zip(y, k1, k3, k4)])
-    k6 = f(t + C6 * dt, [a + dt * (A61 * p + A64 * s + A65 * v)
-                              for a, p, s, v in zip(y, k1, k4, k5)])
-    k7 = f(t + C7 * dt, [a + dt * (A71 * p + A74 * s + A75 * v + A76 * w)
-                              for a, p, s, v, w in zip(y, k1, k4, k5, k6)])
-    k8 = f(t + C8 * dt, [
-        a + dt * (A81 * p + A84 * s + A85 * v + A86 * w + A87 * x)
-        for a, p, s, v, w, x in zip(y, k1, k4, k5, k6, k7)])
-    k9 = f(t + C9 * dt, [
-        a + dt * (A91 * p + A94 * s + A95 * v + A96 * w + A97 * x + A98 * z)
-        for a, p, s, v, w, x, z in zip(y, k1, k4, k5, k6, k7, k8)])
-    k10 = f(t + C10 * dt, [
-        a + dt * (A101 * p + A104 * s + A105 * v + A106 * w + A107 * x
-                  + A108 * z + A109 * q)
-        for a, p, s, v, w, x, z, q in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-    k11 = f(t + C11 * dt, [
-        a + dt * (A111 * p + A114 * s + A115 * v + A116 * w + A117 * x
-                  + A118 * z + A119 * q + A1110 * r)
-        for a, p, s, v, w, x, z, q, r in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-    k12 = f(t + dt, [
-        a + dt * (A121 * p + A124 * s + A125 * v + A126 * w + A127 * x
-                  + A128 * z + A129 * q + A1210 * r + A1211 * e)
-        for a, p, s, v, w, x, z, q, r, e
-        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-    ws = [B1 * p + B6 * w + B7 * x + B8 * z + B9 * q + B10 * r + B11 * e
-          + B12 * o for p, w, x, z, q, r, e, o
-          in zip(k1, k6, k7, k8, k9, k10, k11, k12)]
-    y1 = tuple(a + dt * b for a, b in zip(y, ws))
+    ya, yb = y
+    k1a, k1b = k1
+    k2 = f(t + C2 * dt, (ya + dt * (A21 * k1a), yb + dt * (A21 * k1b)))
+    k2a, k2b = k2
+    k3 = f(t + C3 * dt, (ya + dt * (A31 * k1a + A32 * k2a),
+                         yb + dt * (A31 * k1b + A32 * k2b)))
+    k3a, k3b = k3
+    k4 = f(t + C4 * dt, (ya + dt * (A41 * k1a + A43 * k3a),
+                         yb + dt * (A41 * k1b + A43 * k3b)))
+    k4a, k4b = k4
+    k5 = f(t + C5 * dt, (ya + dt * (A51 * k1a + A53 * k3a + A54 * k4a),
+                         yb + dt * (A51 * k1b + A53 * k3b + A54 * k4b)))
+    k5a, k5b = k5
+    k6 = f(t + C6 * dt, (ya + dt * (A61 * k1a + A64 * k4a + A65 * k5a),
+                         yb + dt * (A61 * k1b + A64 * k4b + A65 * k5b)))
+    k6a, k6b = k6
+    k7 = f(t + C7 * dt, (ya + dt * (A71 * k1a + A74 * k4a + A75 * k5a + A76 * k6a),
+                         yb + dt * (A71 * k1b + A74 * k4b + A75 * k5b + A76 * k6b)))
+    k7a, k7b = k7
+    k8 = f(t + C8 * dt, (
+        ya + dt * (A81 * k1a + A84 * k4a + A85 * k5a + A86 * k6a + A87 * k7a),
+        yb + dt * (A81 * k1b + A84 * k4b + A85 * k5b + A86 * k6b + A87 * k7b)))
+    k8a, k8b = k8
+    k9 = f(t + C9 * dt, (
+        ya + dt * (A91 * k1a + A94 * k4a + A95 * k5a + A96 * k6a + A97 * k7a
+                   + A98 * k8a),
+        yb + dt * (A91 * k1b + A94 * k4b + A95 * k5b + A96 * k6b + A97 * k7b
+                   + A98 * k8b)))
+    k9a, k9b = k9
+    k10 = f(t + C10 * dt, (
+        ya + dt * (A101 * k1a + A104 * k4a + A105 * k5a + A106 * k6a + A107 * k7a
+                   + A108 * k8a + A109 * k9a),
+        yb + dt * (A101 * k1b + A104 * k4b + A105 * k5b + A106 * k6b + A107 * k7b
+                   + A108 * k8b + A109 * k9b)))
+    k10a, k10b = k10
+    k11 = f(t + C11 * dt, (
+        ya + dt * (A111 * k1a + A114 * k4a + A115 * k5a + A116 * k6a + A117 * k7a
+                   + A118 * k8a + A119 * k9a + A1110 * k10a),
+        yb + dt * (A111 * k1b + A114 * k4b + A115 * k5b + A116 * k6b + A117 * k7b
+                   + A118 * k8b + A119 * k9b + A1110 * k10b)))
+    k11a, k11b = k11
+    k12 = f(t + dt, (
+        ya + dt * (A121 * k1a + A124 * k4a + A125 * k5a + A126 * k6a + A127 * k7a
+                   + A128 * k8a + A129 * k9a + A1210 * k10a + A1211 * k11a),
+        yb + dt * (A121 * k1b + A124 * k4b + A125 * k5b + A126 * k6b + A127 * k7b
+                   + A128 * k8b + A129 * k9b + A1210 * k10b + A1211 * k11b)))
+    k12a, k12b = k12
+    wa = (B1 * k1a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a + B10 * k10a
+          + B11 * k11a + B12 * k12a)
+    wb = (B1 * k1b + B6 * k6b + B7 * k7b + B8 * k8b + B9 * k9b + B10 * k10b
+          + B11 * k11b + B12 * k12b)
+    y1a = ya + dt * wa
+    y1b = yb + dt * wb
+    y1 = (y1a, y1b)
     k13 = f(t + dt, y1)
-    ks = (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13)
+    k13a, k13b = k13
     # dt enters each term before squaring, so tiny steps over huge stages
     # do not overflow
-    e5 = e3 = 0.0
-    for a, b, c, p, w, x, z, q, r, e, o in zip(y, y1, ws, k1, k6, k7, k8, k9,
-                                                k10, k11, k12):
-        sc = ATOL + RTOL * max(abs(a), abs(b))
-        e5 += (abs(dt * (ER1 * p + ER6 * w + ER7 * x + ER8 * z + ER9 * q
-                         + ER10 * r + ER11 * e + ER12 * o)) / sc) ** 2
-        e3 += (abs(dt * (c - BHH1 * p - BHH2 * q - BHH3 * o)) / sc) ** 2
-    err = e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 else 0.0
+    sa = ATOL + RTOL * max(abs(ya), abs(y1a))
+    sb = ATOL + RTOL * max(abs(yb), abs(y1b))
+    e5 = ((abs(dt * (ER1 * k1a + ER6 * k6a + ER7 * k7a + ER8 * k8a + ER9 * k9a
+                     + ER10 * k10a + ER11 * k11a + ER12 * k12a)) / sa) ** 2
+          + (abs(dt * (ER1 * k1b + ER6 * k6b + ER7 * k7b + ER8 * k8b + ER9 * k9b
+                       + ER10 * k10b + ER11 * k11b + ER12 * k12b)) / sb) ** 2)
+    e3 = ((abs(dt * (wa - BHH1 * k1a - BHH2 * k9a - BHH3 * k12a)) / sa) ** 2
+          + (abs(dt * (wb - BHH1 * k1b - BHH2 * k9b - BHH3 * k12b)) / sb) ** 2)
+    err = e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
     # A non-finite stage fails the error test, even one the estimate omits.
-    if not (err < math.inf and cmath.isfinite(sum(map(sum, ks)) + sum(y1))):
+    if not (err < math.inf and cmath.isfinite(
+            k1a + k1b + (k2a + k2b) + (k3a + k3b) + (k4a + k4b) + (k5a + k5b)
+            + (k6a + k6b) + (k7a + k7b) + (k8a + k8b) + (k9a + k9b) + (k10a + k10b)
+            + (k11a + k11b) + (k12a + k12b) + (k13a + k13b) + (y1a + y1b))):
         err = math.inf
-    return y1, err, ks
+    return y1, err, (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13)
+
+
+def _coeffs(a, b, dt, p, w, x, z, q, r, e, o, g, m, n, v):
+    """The continuous extension's coefficients of one component.
+
+    a, b: the component at the start and end of the step; p..v: its stages
+    k1, k6..k16.
+    """
+    d = b - a
+    return (
+        a, d, dt * p - d, 2.0 * d - dt * (g + p),
+        dt * (D41 * p + D46 * w + D47 * x + D48 * z + D49 * q + D410 * r
+              + D411 * e + D412 * o + D413 * g + D414 * m + D415 * n + D416 * v),
+        dt * (D51 * p + D56 * w + D57 * x + D58 * z + D59 * q + D510 * r
+              + D511 * e + D512 * o + D513 * g + D514 * m + D515 * n + D516 * v),
+        dt * (D61 * p + D66 * w + D67 * x + D68 * z + D69 * q + D610 * r
+              + D611 * e + D612 * o + D613 * g + D614 * m + D615 * n + D616 * v),
+        dt * (D71 * p + D76 * w + D77 * x + D78 * z + D79 * q + D710 * r
+              + D711 * e + D712 * o + D713 * g + D714 * m + D715 * n + D716 * v))
 
 
 def _dense(f, t, y, y1, dt, ks):
-    """Coefficients of DOP853's continuous extension over one step.
+    """Coefficients of DOP853's continuous extension over one step, per component.
 
     Costs the three extra stages k14..k16.
     """
-    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12, k13 = ks
-    k14 = f(t + C14 * dt, [
-        a + dt * (A141 * p + A147 * x + A148 * z + A149 * q + A1410 * r
-                  + A1411 * e + A1412 * o + A1413 * g)
-        for a, p, x, z, q, r, e, o, g in zip(y, k1, k7, k8, k9, k10, k11, k12, k13)])
-    k15 = f(t + C15 * dt, [
-        a + dt * (A151 * p + A156 * w + A157 * x + A158 * z + A1511 * e
-                  + A1512 * o + A1513 * g + A1514 * m)
-        for a, p, w, x, z, e, o, g, m in zip(y, k1, k6, k7, k8, k11, k12, k13, k14)])
-    k16 = f(t + C16 * dt, [
-        a + dt * (A161 * p + A166 * w + A167 * x + A168 * z + A169 * q
-                  + A1613 * g + A1614 * m + A1615 * n)
-        for a, p, w, x, z, q, g, m, n in zip(y, k1, k6, k7, k8, k9, k13, k14, k15)])
-    cont = []
-    for a, b, p, w, x, z, q, r, e, o, g, m, n, v in zip(
-            y, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16):
-        d = b - a
-        cont.append((
-            a, d, dt * p - d, 2.0 * d - dt * (g + p),
-            dt * (D41 * p + D46 * w + D47 * x + D48 * z + D49 * q + D410 * r
-                  + D411 * e + D412 * o + D413 * g + D414 * m + D415 * n + D416 * v),
-            dt * (D51 * p + D56 * w + D57 * x + D58 * z + D59 * q + D510 * r
-                  + D511 * e + D512 * o + D513 * g + D514 * m + D515 * n + D516 * v),
-            dt * (D61 * p + D66 * w + D67 * x + D68 * z + D69 * q + D610 * r
-                  + D611 * e + D612 * o + D613 * g + D614 * m + D615 * n + D616 * v),
-            dt * (D71 * p + D76 * w + D77 * x + D78 * z + D79 * q + D710 * r
-                  + D711 * e + D712 * o + D713 * g + D714 * m + D715 * n + D716 * v)))
-    return cont
+    ya, yb = y
+    ((k1a, k1b), _, _, _, _, (k6a, k6b), (k7a, k7b), (k8a, k8b), (k9a, k9b),
+     (k10a, k10b), (k11a, k11b), (k12a, k12b), (k13a, k13b)) = ks
+    k14a, k14b = f(t + C14 * dt, (
+        ya + dt * (A141 * k1a + A147 * k7a + A148 * k8a + A149 * k9a + A1410 * k10a
+                   + A1411 * k11a + A1412 * k12a + A1413 * k13a),
+        yb + dt * (A141 * k1b + A147 * k7b + A148 * k8b + A149 * k9b + A1410 * k10b
+                   + A1411 * k11b + A1412 * k12b + A1413 * k13b)))
+    k15a, k15b = f(t + C15 * dt, (
+        ya + dt * (A151 * k1a + A156 * k6a + A157 * k7a + A158 * k8a + A1511 * k11a
+                   + A1512 * k12a + A1513 * k13a + A1514 * k14a),
+        yb + dt * (A151 * k1b + A156 * k6b + A157 * k7b + A158 * k8b + A1511 * k11b
+                   + A1512 * k12b + A1513 * k13b + A1514 * k14b)))
+    k16a, k16b = f(t + C16 * dt, (
+        ya + dt * (A161 * k1a + A166 * k6a + A167 * k7a + A168 * k8a + A169 * k9a
+                   + A1613 * k13a + A1614 * k14a + A1615 * k15a),
+        yb + dt * (A161 * k1b + A166 * k6b + A167 * k7b + A168 * k8b + A169 * k9b
+                   + A1613 * k13b + A1614 * k14b + A1615 * k15b)))
+    y1a, y1b = y1
+    return (_coeffs(ya, y1a, dt, k1a, k6a, k7a, k8a, k9a, k10a, k11a, k12a, k13a,
+                    k14a, k15a, k16a),
+            _coeffs(yb, y1b, dt, k1b, k6b, k7b, k8b, k9b, k10b, k11b, k12b, k13b,
+                    k14b, k15b, k16b))
 
 
 def _interp(cont, ths):
     """y at each fraction th in ths of the step, from the coefficients of `_dense`."""
-    return list(zip(*[[a + th * (r0 + (1.0 - th) * (r1 + th * (r2 + (1.0 - th) * (
-        r3 + th * (r4 + (1.0 - th) * (r5 + th * r6)))))) for th in ths]
-        for a, r0, r1, r2, r3, r4, r5, r6 in cont]))
+    (a, r0, r1, r2, r3, r4, r5, r6), (b, s0, s1, s2, s3, s4, s5, s6) = cont
+    out = []
+    for th in ths:
+        th1 = 1.0 - th
+        out.append((a + th * (r0 + th1 * (r1 + th * (r2 + th1 * (
+                        r3 + th * (r4 + th1 * (r5 + th * r6)))))),
+                    b + th * (s0 + th1 * (s1 + th * (s2 + th1 * (
+                        s3 + th * (s4 + th1 * (s5 + th * s6))))))))
+    return out
 
 
 def _norm(y):
-    return max(abs(a) for a in y)
+    return max(abs(y[0]), abs(y[1]))
 
 
 def solve_rk4(f, nodes, y0, blowup=None):
     """Integrate dy/dt = f(t, y) along the polyline through `nodes`.
 
-    y may be a complex scalar or a sequence of complex numbers; f returns the
-    same shape (a tuple, or a complex number).  Real nodes keep t real;
-    complex nodes give complex t.  Returns y at every node: complex numbers
-    for a scalar y0, tuples otherwise.
+    y is a scalar or a pair: a complex number, or a sequence of one or two
+    complex numbers; f returns the same shape (a complex number, or a
+    sequence).  Other lengths raise DimensionMismatch.  Real nodes keep t
+    real; complex nodes give complex t.  Returns y at every node: complex
+    numbers for a scalar y0, tuples otherwise.
 
     blowup: optional (threshold, label) — raises BlowUp when max |y_i|
     exceeds the threshold, at the t where the continuous extension crosses
@@ -324,13 +373,22 @@ def solve_rk4(f, nodes, y0, blowup=None):
     y at every node before it (``samples``).
     """
     scalar = isinstance(y0, numbers.Number)
-    if scalar:
+    y = (complex(y0),) if scalar else tuple(complex(a) for a in y0)
+    n = len(y)
+    if n == 1:
+        # one component rides in the first slot of the pair, 0 in the second
         rhs = f
-        f = lambda t, y: (rhs(t, y[0]),)  # noqa: E731
-        y = (complex(y0),)
+        if scalar:
+            f = lambda t, y: (rhs(t, y[0]), 0j)  # noqa: E731
+            unpack = lambda ys: [v[0] for v in ys]  # noqa: E731
+        else:
+            f = lambda t, y: (rhs(t, y[:1])[0], 0j)  # noqa: E731
+            unpack = lambda ys: [v[:1] for v in ys]  # noqa: E731
+        y += (0j,)
+    elif n == 2:
+        unpack = list
     else:
-        y = tuple(complex(a) for a in y0)
-    unpack = (lambda ys: [v[0] for v in ys]) if scalar else list
+        raise DimensionMismatch(f"solve_rk4 integrates a scalar or a pair, not {n} components")
     out = [y]
     k1 = h = None
     i, last, steps = 0, len(nodes) - 1, 0
@@ -376,7 +434,7 @@ def solve_rk4(f, nodes, y0, blowup=None):
             try:
                 if k1 is None:
                     k1 = f(t, y)
-                y1, err, ks = _dp_step(f, t, y, k1, dt)
+                y1, err, ks = _dp_step(f, t, y, k1, dt, n)
                 diverged = blowup is not None and _norm(y1) > blowup[0]
                 if err <= 1.0 and (diverged or m < len(arcs) and arcs[m] < u1):
                     # the continuous extension, for the crossing or the nodes

@@ -200,9 +200,11 @@ def n_power_flow(init: FlowState, N: int, contour) -> Trajectory:
     if N < 1:
         raise DomainError("N must be a positive integer")
 
+    nn, two_n = N * N, 2 * N
+
     def rhs(tau, y):
         g, gam = y
-        return (g * g - N * N * gam ** (2 * N), gam * g)
+        return (g * g - nn * gam ** two_n, gam * g)
 
     return _flow(rhs, init, contour)
 
@@ -217,10 +219,12 @@ def lr_flow(init: FlowState, N: int, nu: float, contour) -> Trajectory:
         raise DomainError("N must be a positive integer")
     s = math.sin(nu / N)
     sign = (-1.0) ** N
+    nn, two_n = N * N, 2 * N
+    s_two_n = s ** two_n
 
     def rhs(tau, y):
         g, gam = y
-        dg = g * g - N * N * gam ** (2 * N) * s ** (2 * N)
+        dg = g * g - nn * gam ** two_n * s_two_n
         dgam = sign * gam * s * s * g / N
         return (dg, dgam)
 

@@ -17,10 +17,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cflow import rgflow as rg
-from cflow.errors import (BlowUp, BranchCollision, BranchCut, DivisionByZero,
-                          DomainError, ExceptionalPoint, FlowStopped, Overflow,
-                          PoleError, RangeError, StepSizeUnderflow)
-from cflow.integrate import MAX_STEPS, _dp_step, solve_rk4
+from cflow.errors import (BlowUp, BranchCollision, BranchCut, DimensionMismatch,
+                          DivisionByZero, DomainError, ExceptionalPoint,
+                          FlowStopped, Overflow, PoleError, RangeError,
+                          StepSizeUnderflow)
+from cflow.integrate import *  # noqa: F401,F403  (the DOP853 tableau, for the reference kernel)
+from cflow.integrate import MAX_STEPS, solve_rk4
+from cflow.integrate import _dense as pair_dense
+from cflow.integrate import _dp_step as pair_step
+from cflow.integrate import _interp as pair_interp
 
 
 def cquad(f, a, b):
@@ -172,7 +177,7 @@ class TestNPowerFlow:
             y, k = y0, rhs(0.0, y0)
             h = 0.8 / nsteps
             for i in range(nsteps):
-                y, _, ks = _dp_step(rhs, i * h, y, k, h)
+                y, _, ks = pair_step(rhs, i * h, y, k, h, 2)
                 k = ks[-1]
             return np.array(y)
 
@@ -197,7 +202,192 @@ class TestNPowerFlow:
             assert abs(s.g_inv - level) < 1e-6 * abs(level)
 
 
+# ---------------------------------------------------------------------------
+# path integrator
+# ---------------------------------------------------------------------------
+
+# The generic DOP853 kernel, one list comprehension per stage over any number
+# of components: the reference the pair kernel of cflow.integrate must match
+# bit for bit.
+
+def _dp_step(f, t, y, k1, dt):
+    """One DOP853 step of (complex) length dt from (t, y), f(t, y) = k1.
+
+    Returns the 8th-order y at t + dt, the scaled error estimate (not
+    finite when any stage is not) and the stages k1..k13, k13 = f(t + dt, y1).
+    """
+    k2 = f(t + C2 * dt, [a + dt * (A21 * p) for a, p in zip(y, k1)])
+    k3 = f(t + C3 * dt, [a + dt * (A31 * p + A32 * q)
+                              for a, p, q in zip(y, k1, k2)])
+    k4 = f(t + C4 * dt, [a + dt * (A41 * p + A43 * r)
+                              for a, p, r in zip(y, k1, k3)])
+    k5 = f(t + C5 * dt, [a + dt * (A51 * p + A53 * r + A54 * s)
+                              for a, p, r, s in zip(y, k1, k3, k4)])
+    k6 = f(t + C6 * dt, [a + dt * (A61 * p + A64 * s + A65 * v)
+                              for a, p, s, v in zip(y, k1, k4, k5)])
+    k7 = f(t + C7 * dt, [a + dt * (A71 * p + A74 * s + A75 * v + A76 * w)
+                              for a, p, s, v, w in zip(y, k1, k4, k5, k6)])
+    k8 = f(t + C8 * dt, [
+        a + dt * (A81 * p + A84 * s + A85 * v + A86 * w + A87 * x)
+        for a, p, s, v, w, x in zip(y, k1, k4, k5, k6, k7)])
+    k9 = f(t + C9 * dt, [
+        a + dt * (A91 * p + A94 * s + A95 * v + A96 * w + A97 * x + A98 * z)
+        for a, p, s, v, w, x, z in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = f(t + C10 * dt, [
+        a + dt * (A101 * p + A104 * s + A105 * v + A106 * w + A107 * x
+                  + A108 * z + A109 * q)
+        for a, p, s, v, w, x, z, q in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = f(t + C11 * dt, [
+        a + dt * (A111 * p + A114 * s + A115 * v + A116 * w + A117 * x
+                  + A118 * z + A119 * q + A1110 * r)
+        for a, p, s, v, w, x, z, q, r in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = f(t + dt, [
+        a + dt * (A121 * p + A124 * s + A125 * v + A126 * w + A127 * x
+                  + A128 * z + A129 * q + A1210 * r + A1211 * e)
+        for a, p, s, v, w, x, z, q, r, e
+        in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+    ws = [B1 * p + B6 * w + B7 * x + B8 * z + B9 * q + B10 * r + B11 * e
+          + B12 * o for p, w, x, z, q, r, e, o
+          in zip(k1, k6, k7, k8, k9, k10, k11, k12)]
+    y1 = tuple(a + dt * b for a, b in zip(y, ws))
+    k13 = f(t + dt, y1)
+    ks = (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13)
+    # dt enters each term before squaring, so tiny steps over huge stages
+    # do not overflow
+    e5 = e3 = 0.0
+    for a, b, c, p, w, x, z, q, r, e, o in zip(y, y1, ws, k1, k6, k7, k8, k9,
+                                                k10, k11, k12):
+        sc = ATOL + RTOL * max(abs(a), abs(b))
+        e5 += (abs(dt * (ER1 * p + ER6 * w + ER7 * x + ER8 * z + ER9 * q
+                         + ER10 * r + ER11 * e + ER12 * o)) / sc) ** 2
+        e3 += (abs(dt * (c - BHH1 * p - BHH2 * q - BHH3 * o)) / sc) ** 2
+    err = e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 else 0.0
+    # A non-finite stage fails the error test, even one the estimate omits.
+    if not (err < math.inf and cmath.isfinite(sum(map(sum, ks)) + sum(y1))):
+        err = math.inf
+    return y1, err, ks
+
+
+def _dense(f, t, y, y1, dt, ks):
+    """Coefficients of DOP853's continuous extension over one step.
+
+    Costs the three extra stages k14..k16.
+    """
+    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12, k13 = ks
+    k14 = f(t + C14 * dt, [
+        a + dt * (A141 * p + A147 * x + A148 * z + A149 * q + A1410 * r
+                  + A1411 * e + A1412 * o + A1413 * g)
+        for a, p, x, z, q, r, e, o, g in zip(y, k1, k7, k8, k9, k10, k11, k12, k13)])
+    k15 = f(t + C15 * dt, [
+        a + dt * (A151 * p + A156 * w + A157 * x + A158 * z + A1511 * e
+                  + A1512 * o + A1513 * g + A1514 * m)
+        for a, p, w, x, z, e, o, g, m in zip(y, k1, k6, k7, k8, k11, k12, k13, k14)])
+    k16 = f(t + C16 * dt, [
+        a + dt * (A161 * p + A166 * w + A167 * x + A168 * z + A169 * q
+                  + A1613 * g + A1614 * m + A1615 * n)
+        for a, p, w, x, z, q, g, m, n in zip(y, k1, k6, k7, k8, k9, k13, k14, k15)])
+    cont = []
+    for a, b, p, w, x, z, q, r, e, o, g, m, n, v in zip(
+            y, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16):
+        d = b - a
+        cont.append((
+            a, d, dt * p - d, 2.0 * d - dt * (g + p),
+            dt * (D41 * p + D46 * w + D47 * x + D48 * z + D49 * q + D410 * r
+                  + D411 * e + D412 * o + D413 * g + D414 * m + D415 * n + D416 * v),
+            dt * (D51 * p + D56 * w + D57 * x + D58 * z + D59 * q + D510 * r
+                  + D511 * e + D512 * o + D513 * g + D514 * m + D515 * n + D516 * v),
+            dt * (D61 * p + D66 * w + D67 * x + D68 * z + D69 * q + D610 * r
+                  + D611 * e + D612 * o + D613 * g + D614 * m + D615 * n + D616 * v),
+            dt * (D71 * p + D76 * w + D77 * x + D78 * z + D79 * q + D710 * r
+                  + D711 * e + D712 * o + D713 * g + D714 * m + D715 * n + D716 * v)))
+    return cont
+
+
+def _interp(cont, ths):
+    """y at each fraction th in ths of the step, from the coefficients of `_dense`."""
+    return list(zip(*[[a + th * (r0 + (1.0 - th) * (r1 + th * (r2 + (1.0 - th) * (
+        r3 + th * (r4 + (1.0 - th) * (r5 + th * r6)))))) for th in ths]
+        for a, r0, r1, r2, r3, r4, r5, r6 in cont]))
+
+
+def _bits(values):
+    """float.hex of both parts of every complex number in `values`."""
+    return [(float.hex(complex(z).real), float.hex(complex(z).imag)) for z in values]
+
+
+def _pair_rhs(t, y):
+    g, gam = y
+    return (g * g - 4.0 * gam ** 4 + 0.3j * t, gam * g)
+
+
+_KERNEL_CASES = ("scalar", "pair", "ndarray", "overflow")
+
+
+def _kernel_case(case, rng):
+    """(RHS for the reference, RHS for the pair kernel, y, n) of one draw."""
+    def draw(scale=1.0):
+        return complex(*rng.normal(0.0, scale, 2))
+
+    if case == "scalar":
+        def rhs(t, y):
+            return y * y - 0.7j * t * y + 0.4
+
+        y = draw()
+        return (lambda t, v: (rhs(t, v[0]),), lambda t, v: (rhs(t, v[0]), 0j),
+                (y,), 1)
+    if case == "ndarray":
+        def rhs(t, y):
+            g, gam = y
+            return np.array([g * g - 4.0 * gam ** 4, gam * g], dtype=complex)
+
+        return rhs, rhs, (draw(), draw()), 2
+    if case == "overflow":
+        # k1 is finite; the stages after it overflow to inf and then nan
+        return _pair_rhs, _pair_rhs, (draw(1e150), draw()), 2
+    return _pair_rhs, _pair_rhs, (draw(), draw()), 2
+
+
 class TestPathIntegrator:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy stages that overflow
+    @pytest.mark.parametrize("case", _KERNEL_CASES)
+    def test_pair_kernel_matches_generic_reference(self, case):
+        # every float of the step, its error estimate, stages, continuous
+        # extension and interpolated values, bit for bit
+        rng = np.random.default_rng(_KERNEL_CASES.index(case))
+        for _ in range(25):
+            f_ref, f_pair, y, n = _kernel_case(case, rng)
+            t = complex(*rng.uniform(-1.0, 1.0, 2))
+            dt = complex(*rng.uniform(-0.4, 0.4, 2))
+            y1, err, ks = _dp_step(f_ref, t, y, f_ref(t, y), dt)
+            y2 = y + (0j,) * (2 - n)
+            p1, perr, pks = pair_step(f_pair, t, y2, f_pair(t, y2), dt, n)
+            if case == "overflow":
+                assert err == math.inf
+            assert _bits(p1[:n]) == _bits(y1)
+            assert float.hex(perr) == float.hex(err)
+            assert [_bits(k[:n]) for k in pks] == [_bits(k) for k in ks]
+            cont = _dense(f_ref, t, y, y1, dt, ks)
+            pcont = pair_dense(f_pair, t, y2, p1, dt, pks)
+            assert [_bits(c) for c in pcont[:n]] == [_bits(c) for c in cont]
+            ths = [0.0, 1.0] + list(rng.uniform(0.0, 1.0, 5))
+            assert ([_bits(v[:n]) for v in pair_interp(pcont, ths)]
+                    == [_bits(v) for v in _interp(cont, ths)])
+            if n == 1:  # the zero second slot stays zero
+                assert p1[1] == 0 and all(k[1] == 0 for k in pks)
+
+    @pytest.mark.parametrize("y0", [[], [1.0, 2.0, 3.0], (1.0, 2.0, 3.0, 4.0)])
+    def test_systems_other_than_scalar_or_pair_raise(self, y0):
+        rhs = lambda t, y: tuple(y)  # noqa: E731
+        with pytest.raises(DimensionMismatch):
+            solve_rk4(rhs, [0.0, 1.0], y0)
+        with pytest.raises(DimensionMismatch):
+            solve_rk4(rhs, [0.0, 1.0], y0, blowup=(1e10, "y"))
+
+    def test_one_component_sequence_keeps_its_shape(self):
+        ys = solve_rk4(lambda t, y: (y[0],), [0.0, 0.5, 1.0], [1.0])
+        assert all(len(y) == 1 for y in ys)
+        assert ys == [(z,) for z in solve_rk4(lambda t, y: y, [0.0, 0.5, 1.0], 1.0)]
+
     def test_exponential_on_kinked_complex_polyline(self):
         # non-uniform segments, sharp turns and one zero-length segment
         nodes = [0.0, 0.3, 0.35 + 0.4j, 0.35 + 0.4j, -0.2 + 0.45j,
@@ -208,8 +398,9 @@ class TestPathIntegrator:
             assert abs(y - cmath.exp(t - nodes[0])) < 1e-9
 
     def test_step_carries_across_nodes(self):
-        # A restart at a fraction of every segment costs 60 evaluations
-        # per node on this grid; one pass costs about 12.
+        # A DOP853 step costs twelve evaluations, fifteen with the continuous
+        # extension.  Restarting on every segment of this grid costs 37 per
+        # node; carrying the step across nodes costs 0.32 per node.
         calls = []
 
         def rhs(tau, y):
@@ -275,9 +466,9 @@ class TestPathIntegrator:
         assert exc.value.samples == [1.0] and 0.0 < exc.value.tau_star < 1e11
 
     def test_dense_nodes_cost_at_most_two_evaluations_each(self):
-        # Steps clamped onto every node cost 6 or more evaluations per node;
-        # free steps, with the nodes read off the continuous extension, cost
-        # about 0.5.
+        # Steps clamped onto every node cost twelve or more evaluations per
+        # node; free steps, with the nodes read off the continuous extension
+        # (fifteen evaluations per step), cost 0.32 per node here.
         calls = []
 
         def rhs(tau, y):
@@ -290,7 +481,7 @@ class TestPathIntegrator:
         assert len(calls) / (len(contour) - 1) <= 2
 
     def test_continuous_extension_between_steps(self):
-        # y' = i y on one straight complex run, about 20 nodes per step
+        # y' = i y on one straight complex run, about 230 nodes per step
         calls = []
 
         def rhs(t, y):
@@ -299,8 +490,9 @@ class TestPathIntegrator:
 
         nodes = [k * (0.001 + 0.0001j) for k in range(10001)]
         ys = solve_rk4(rhs, nodes, 1.0)
-        # six evaluations per step: at least ten nodes per step
-        assert len(calls) / 6 < len(nodes) / 10
+        # fifteen evaluations per step with the extension: more than 25
+        # nodes per step (this run takes 0.066 evaluations per node)
+        assert len(calls) < 0.6 * len(nodes)
         for t, y in zip(nodes, ys):
             assert abs(y - cmath.exp(1j * t)) < 1e-9
 
