@@ -18,7 +18,8 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import (DegenerateTrajectory, DimensionMismatch, DomainError,
-                     PoleError, _finite)
+                     FlowStopped, PoleError, _finite)
+from .integrate import solve_rk4
 from .rgflow import lr_beta_closed_form
 
 _WINDING_TOL = 1e-3
@@ -149,74 +150,58 @@ def coupling_angle_slope(g: float, theta: float, n: int) -> float:
     d1 = g * math.cos(theta) - 1.0
     if abs(dn) < 1e-12 or abs(d1) < 1e-12:
         raise PoleError("slope undefined where g^n cos(n theta) = 1 or g cos(theta) = 1")
-    return (-1.0) ** n * math.tan(_portrait_angle(g, theta, n))
+    # the tangent-line angle is arg(z^2 (z^n - 1)(z - 1)) mod pi, z = g e^{i theta}
+    return (-1.0) ** n * math.tan(2.0 * theta
+                                  + math.atan(g ** n * math.sin(n * theta) / dn)
+                                  + math.atan(g * math.sin(theta) / d1))
 
 
-def _portrait_angle(g: float, theta: float, n: int) -> float:
-    # tangent-line angle of the slope field; identical to
-    # arg(z^2 (z^n - 1)(z - 1)) mod pi with z = g e^{i theta}
-    dn = g ** n * math.cos(n * theta) - 1.0
-    d1 = g * math.cos(theta) - 1.0
-    return (2.0 * theta
-            + math.atan(g ** n * math.sin(n * theta) / dn)
-            + math.atan(g * math.sin(theta) / d1))
+class _PortraitEnd(FlowStopped):
+    """A coupling-angle portrait left the disc |z| <= 4 or reached a zero."""
 
 
 def coupling_angle_portrait(n: int, z0: complex, step: float = 1e-3,
-                            max_steps: int = 15000, coast: float = 0.01,
+                            max_steps: int = 15000,
                             flip_sign: bool = False) -> np.ndarray:
     """Integral curve of the coupling-angle line field through z0.
 
-    The slope defines a direction only up to sign; the integrator keeps the
-    unit tangent continuous along the curve (classical RK4 at fixed arc-length
-    step).  For even n the tangent angle is the field angle itself and for
-    odd n its negative, matching the (-1)^n prefactor of the slope;
-    ``flip_sign`` selects the opposite convention.  Within ``coast`` of the
-    stationary points z = 0 and z = 1 the previous direction is held, so a
-    loop through a stationary point is traversed as a closed geometric curve.
-    For even n the curve runs into the double zero z = 0, and once it has
-    passed through a coast hold there its course depends on rounding: one ulp
-    in z0 can change its length and its winding number.  Integration stops
-    at the first return to the start point, on escape (|z| > 4), or after
-    ``max_steps`` steps.
+    The field's angle is arg V mod pi, V = z^2 (z^n - 1)(z - 1), with the
+    slope's sign (-1)^n: the curve is an orbit of V/|V| for even n and of
+    conj(V)/|V| for odd n (``flip_sign`` swaps the two), traced in arc
+    length by `solve_rk4` and sampled every ``step``, ``max_steps`` times at
+    most.  It ends before |z| passes 4, before it comes within ``step`` of a
+    zero of V (0, 1 and the n-th roots of unity), or at its first return to
+    within 0.02 of z0.  A z0 within ``step`` of a zero raises DomainError.
     """
-    if step <= 0 or max_steps < 1 or coast < 0:
-        raise DomainError("step and max_steps must be positive, coast nonnegative")
-    negate = (n % 2 == 1) != flip_sign
-    sgn = -1.0 if negate else 1.0
-    z = complex(z0)
-    pts = [z]
-    prev = None
+    if n < 1 or n % 1 or step <= 0 or max_steps < 1:
+        raise DomainError("n must be a positive integer, step and max_steps positive")
+    z0 = complex(z0)
+    zeros = [0j] + [cmath.exp(2j * math.pi * k / n) for k in range(int(n))]
+    if min(abs(z0 - w) for w in zeros) <= step:
+        raise DomainError(f"z0 = {z0} lies within step = {step} of a zero of the field")
+    conj = (n % 2 == 1) != flip_sign
 
-    def tangent(w, ref):
-        if abs(w) < coast or abs(w - 1.0) < coast:
-            return ref if ref is not None else 1.0 + 0.0j
-        t = cmath.exp(1j * sgn * _portrait_angle(abs(w), cmath.phase(w), n))
-        if ref is not None and t.real * ref.real + t.imag * ref.imag < 0:
-            t = -t
-        return t
+    def field(t, z):
+        v = z * z * (z ** n - 1.0) * (z - 1.0)
+        return (v.conjugate() if conj else v) / abs(v)
 
-    armed = False
-    maxd = 0.0
-    for _ in range(max_steps):
-        k1 = tangent(z, prev)
-        if prev is None:
-            prev = k1
-        k2 = tangent(z + 0.5 * step * k1, k1)
-        k3 = tangent(z + 0.5 * step * k2, k2)
-        k4 = tangent(z + step * k3, k3)
-        z = z + step * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        prev = k4
-        pts.append(z)
-        d = abs(z - pts[0])
-        maxd = max(maxd, d)
-        if maxd > 0.3 and d > 0.6 * maxd:
-            armed = True
-        if armed and d < 0.02:
-            break
-        if abs(z) > 4.0:
-            break
-    return np.asarray(pts)
+    events = ((lambda t, z: abs(z) - 4.0, _PortraitEnd),
+              (lambda t, z: step - min(abs(z - w) for w in zeros), _PortraitEnd))
+    try:
+        pts = np.asarray(solve_rk4(field, [k * step for k in range(max_steps + 1)],
+                                   z0, events=events))
+    except _PortraitEnd as stop:
+        pts = np.asarray(stop.samples)
+    # a step straight through a zero (the real axis) skips its event, not its samples
+    near = np.flatnonzero(np.min(np.abs(pts[:, None] - np.array(zeros)), axis=1) < step)
+    pts = pts[:near[0]] if near.size else pts
+    # the first return: within 0.02 of z0, once more than 0.3 and more than
+    # 60 % of the farthest distance so far away
+    d = np.abs(pts - z0)
+    farthest = np.maximum.accumulate(d)
+    armed = np.flatnonzero((farthest > 0.3) & (d > 0.6 * farthest))
+    back = np.flatnonzero(d[armed[0]:] < 0.02) if armed.size else armed
+    return pts[:armed[0] + back[0] + 1] if back.size else pts
 
 
 def spectrum_variance(eigs: Sequence[complex]) -> complex:

@@ -11,11 +11,13 @@ twelve stages plus f(t + h, y1), which is the first stage of the next step
 E5² and E3² sum over the n components the squares of each difference scaled
 by ATOL + RTOL * max(|y|, |y1|); a step is accepted when the estimate is at
 most 1, and the next step length scales as err^(−1/8).  The nodes inside
-an accepted step, and a blow-up crossing, are read off DOP853's 7th-order
-continuous extension (HNW §II.6), so the node spacing does not limit the
-step; the extension costs three more RHS evaluations, on those steps only.  A
-step lands exactly on every kink and on the last node; the step length
-carries over from one run to the next.
+an accepted step, and the crossing of an event, are read off DOP853's
+7th-order continuous extension (HNW §II.6), so the node spacing does not
+limit the step; the extension costs three more RHS evaluations, on those
+steps only.  A step lands exactly on every kink and on the last node; the
+step length carries over from one run to the next.  An event is a real
+g(t, y) paired with the `FlowStopped` subclass to raise where g turns
+positive: the flows' blow-up and the portraits' stops.
 
 The state is a scalar or a pair of plain Python complex numbers, the only
 shapes the flows integrate; the RHS returns a complex number for a scalar and
@@ -30,7 +32,7 @@ import cmath
 import math
 import numbers
 
-from .errors import BlowUp, DimensionMismatch, DomainError, FlowStopped, StepSizeUnderflow
+from .errors import DimensionMismatch, DomainError, FlowStopped, StepSizeUnderflow
 
 RTOL = 1e-11
 ATOL = 1e-13
@@ -351,27 +353,40 @@ def _interp(cont, ths):
     return out
 
 
-def _norm(y):
-    return max(abs(y[0]), abs(y[1]))
+def _crossing(g, t, dt, cont, shape):
+    """Fraction of the step where g turns positive, in 60 bisections."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if g(t + mid * dt, shape(_interp(cont, (mid,))[0])) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def solve_rk4(f, nodes, y0, blowup=None):
+def solve_rk4(f, nodes, y0, events=()):
     """Integrate dy/dt = f(t, y) along the polyline through `nodes`.
 
     y is a scalar or a pair: a complex number, or a sequence of one or two
     complex numbers; f returns the same shape (a complex number, or a
     sequence).  Other lengths raise DimensionMismatch.  Real nodes keep t
     real; complex nodes give complex t.  Returns y at every node: complex
-    numbers for a scalar y0, tuples otherwise.
+    numbers for a scalar y0, tuples otherwise.  A node that is not finite
+    raises DomainError.
 
-    blowup: optional (threshold, label) — raises BlowUp when max |y_i|
-    exceeds the threshold, at the t where the continuous extension crosses
-    it.  A call attempts at most ``MAX_STEPS`` steps, accepted or rejected,
-    over all its runs, and raises FlowStopped at the next; the runs of the
-    tests and the benchmark need under 300.  BlowUp, StepSizeUnderflow and
-    FlowStopped carry the t where the integration stopped (``tau_star``) and
-    y at every node before it (``samples``).
+    events: pairs (g, exc) of a real g(t, y), y shaped as y0, and a
+    FlowStopped subclass.  An event fires when g > 0 at the end of an
+    accepted step (a sign change undone within the step goes unseen), and
+    the call raises exc where g crosses 0, at the earliest crossing when
+    several fire.  A call attempts at most ``MAX_STEPS`` steps, accepted or
+    rejected, over all its runs, and raises FlowStopped at the next; the
+    runs of the tests and the benchmark need under 300.  These exceptions
+    and StepSizeUnderflow carry the t where the integration stopped
+    (``tau_star``) and y at every node before it (``samples``).
     """
+    if not all(map(cmath.isfinite, nodes)):
+        raise DomainError("solve_rk4 needs finite nodes")
     scalar = isinstance(y0, numbers.Number)
     y = (complex(y0),) if scalar else tuple(complex(a) for a in y0)
     n = len(y)
@@ -380,13 +395,14 @@ def solve_rk4(f, nodes, y0, blowup=None):
         rhs = f
         if scalar:
             f = lambda t, y: (rhs(t, y[0]), 0j)  # noqa: E731
-            unpack = lambda ys: [v[0] for v in ys]  # noqa: E731
+            shape = lambda v: v[0]  # noqa: E731
         else:
             f = lambda t, y: (rhs(t, y[:1])[0], 0j)  # noqa: E731
-            unpack = lambda ys: [v[:1] for v in ys]  # noqa: E731
+            shape = lambda v: v[:1]  # noqa: E731
+        unpack = lambda ys: [shape(v) for v in ys]  # noqa: E731
         y += (0j,)
     elif n == 2:
-        unpack = list
+        shape, unpack = (lambda v: v), list
     else:
         raise DimensionMismatch(f"solve_rk4 integrates a scalar or a pair, not {n} components")
     out = [y]
@@ -431,13 +447,14 @@ def solve_rk4(f, nodes, y0, blowup=None):
             step = length - u if clamped else h
             dt = tb - t if clamped else step * unit
             u1 = length if clamped else u + step
+            t1 = tb if clamped else ta + u1 * unit
             try:
                 if k1 is None:
                     k1 = f(t, y)
                 y1, err, ks = _dp_step(f, t, y, k1, dt, n)
-                diverged = blowup is not None and _norm(y1) > blowup[0]
-                if err <= 1.0 and (diverged or m < len(arcs) and arcs[m] < u1):
-                    # the continuous extension, for the crossing or the nodes
+                fired = [e for e in events if e[0](t1, shape(y1)) > 0] if err <= 1.0 else ()
+                if err <= 1.0 and (fired or m < len(arcs) and arcs[m] < u1):
+                    # the continuous extension, for a crossing or the nodes
                     # inside the step; a non-finite one fails the step
                     cont = _dense(f, t, y, y1, dt, ks)
                     if not cmath.isfinite(sum(map(sum, cont))):
@@ -453,15 +470,9 @@ def solve_rk4(f, nodes, y0, blowup=None):
                                             tau_star=t, samples=unpack(out))
                 continue
             limit = u1
-            if diverged:
-                # bisect the continuous extension for the threshold crossing
-                lo, hi = 0.0, 1.0
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if _norm(_interp(cont, (mid,))[0]) > blowup[0]:
-                        hi = mid
-                    else:
-                        lo = mid
+            if fired:
+                hi, k = min((_crossing(g, t, dt, cont, shape), k)
+                            for k, (g, _) in enumerate(fired))
                 limit = u + hi * step
             # the nodes inside the step (before the crossing)
             ths = []
@@ -470,10 +481,10 @@ def solve_rk4(f, nodes, y0, blowup=None):
                 m += 1
             if ths:
                 out += _interp(cont, ths)
-            if diverged:
+            if fired:
                 t_star = t + hi * dt
-                raise BlowUp(f"{blowup[1]} diverged at flow parameter {t_star}",
-                             tau_star=t_star, samples=unpack(out))
+                raise fired[k][1](f"{fired[k][1].__name__} event at t = {t_star}",
+                                  tau_star=t_star, samples=unpack(out))
             # the nodes the step lands on
             while m < len(arcs) and (arcs[m] == u1 or clamped):
                 out.append(y1)
@@ -481,7 +492,6 @@ def solve_rk4(f, nodes, y0, blowup=None):
             fac = SAFETY * err ** -0.125 if err > 0 else MAX_FACTOR
             fac = min(1.0 if rejected else MAX_FACTOR, max(MIN_FACTOR, fac))
             h = max(h, step * fac) if clamped else step * fac
-            t = tb if clamped else ta + u1 * unit
-            u, y, k1, rejected = u1, y1, ks[-1], False
+            t, u, y, k1, rejected = t1, u1, y1, ks[-1], False
         i = j
     return unpack(out)

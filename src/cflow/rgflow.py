@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import specfun as sf
-from .errors import (BranchCollision, BranchCut, DivisionByZero,
+from .errors import (BlowUp, BranchCollision, BranchCut, DivisionByZero,
                      DomainError, ExceptionalPoint, NoConvergence, Overflow,
                      PoleError, RangeError, _finite)
 from .integrate import solve_rk4
@@ -183,7 +183,7 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
 # ---------------------------------------------------------------------------
 
 BLOWUP_G = 1e10
-_BLOWUP = (BLOWUP_G, "inverse propagator")
+_BLOWUP = ((lambda tau, y: max(abs(y[0]), abs(y[1])) - BLOWUP_G, BlowUp),)
 
 
 def _flow(rhs, init: FlowState, contour) -> Trajectory:
@@ -191,7 +191,11 @@ def _flow(rhs, init: FlowState, contour) -> Trajectory:
     taus = [complex(t) for t in contour]
     if len(taus) < 2:
         raise DomainError("contour needs at least two points")
-    samples = solve_rk4(rhs, taus, [init.g_inv, init.gamma], blowup=_BLOWUP)
+    try:
+        samples = solve_rk4(rhs, taus, [init.g_inv, init.gamma], events=_BLOWUP)
+    except BlowUp as exc:  # name what diverged
+        raise BlowUp(f"inverse propagator diverged at flow parameter {exc.tau_star}",
+                     exc.tau_star, exc.samples) from None
     return Trajectory(tuple(FlowState(t, g, gam) for t, (g, gam) in zip(taus, samples)))
 
 

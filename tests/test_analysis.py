@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from cflow import analysis
+from cflow import analysis, integrate
 from cflow.errors import (DegenerateTrajectory, DimensionMismatch,
-                          DomainError, Overflow, PoleError)
+                          DomainError, FlowStopped, Overflow, PoleError,
+                          StepSizeUnderflow)
 
 
 def _circle(center=0.0, radius=1.0, n=256, turns=1, phase=0.0):
@@ -197,8 +198,57 @@ class TestCouplingAngleSlope:
             analysis.coupling_angle_slope(1.0, 0.0, 2)
 
 
+def _rk4_portrait(n, z0, step=1e-3, max_steps=15000, coast=0.01, flip_sign=False):
+    """The coupling-angle portrait as cflow traced it before it moved onto
+    `solve_rk4`, frozen as a reference: classical RK4 at a fixed arc-length
+    step on the line field, with its sign tracked along the curve, the last
+    direction held within ``coast`` of z = 0 and z = 1, and the same stops
+    (first return, |z| > 4, ``max_steps``)."""
+    def angle(g, theta):
+        dn = g ** n * math.cos(n * theta) - 1.0
+        d1 = g * math.cos(theta) - 1.0
+        return (2.0 * theta + math.atan(g ** n * math.sin(n * theta) / dn)
+                + math.atan(g * math.sin(theta) / d1))
+
+    sgn = -1.0 if (n % 2 == 1) != flip_sign else 1.0
+    z = complex(z0)
+    pts = [z]
+    prev = None
+
+    def tangent(w, ref):
+        if abs(w) < coast or abs(w - 1.0) < coast:
+            return ref if ref is not None else 1.0 + 0.0j
+        t = cmath.exp(1j * sgn * angle(abs(w), cmath.phase(w)))
+        if ref is not None and t.real * ref.real + t.imag * ref.imag < 0:
+            t = -t
+        return t
+
+    armed = False
+    maxd = 0.0
+    for _ in range(max_steps):
+        k1 = tangent(z, prev)
+        if prev is None:
+            prev = k1
+        k2 = tangent(z + 0.5 * step * k1, k1)
+        k3 = tangent(z + 0.5 * step * k2, k2)
+        k4 = tangent(z + step * k3, k3)
+        z = z + step * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        prev = k4
+        pts.append(z)
+        d = abs(z - pts[0])
+        maxd = max(maxd, d)
+        if maxd > 0.3 and d > 0.6 * maxd:
+            armed = True
+        if armed and d < 0.02:
+            break
+        if abs(z) > 4.0:
+            break
+    return np.asarray(pts)
+
+
 class TestCouplingAnglePortrait:
-    # documented grid for the parity checks: start points and coast radii
+    # documented grid for the parity checks: start points, and the steps the
+    # acceptance test and the benchmark trace them at
     GRID = {1: (0.15 * cmath.exp(0.60j), 0.010),
             2: (0.15 * cmath.exp(0.75j), 0.012),
             3: (0.15 * cmath.exp(2.60j), 0.010),
@@ -212,28 +262,51 @@ class TestCouplingAnglePortrait:
             return (z ** (n + 4) / (n + 4) - z ** (n + 3) / (n + 3)
                     - z ** 4 / 4 + z ** 3 / 3)
         for n in (1, 3):
-            pts = analysis.coupling_angle_portrait(n, self.GRID[n][0],
-                                                   coast=0.0, max_steps=3000)
+            pts = analysis.coupling_angle_portrait(n, self.GRID[n][0], max_steps=3000)
             vals = np.array([F(z, n).real for z in pts])
             d = np.diff(vals)
             assert np.all(d > 0) or np.all(d < 0)
 
     def test_odd_n_trajectories_escape(self):
         for n in (1, 3):
-            z0, coast = self.GRID[n]
-            pts = analysis.coupling_angle_portrait(n, z0, coast=coast)
+            pts = analysis.coupling_angle_portrait(n, self.GRID[n][0])
             assert np.max(np.abs(pts - pts[0])) > 3.0
             assert not analysis.detect_limit_cycle(pts, tol=0.05).closed
 
-    def test_even_n_trajectories_recur(self):
-        # the even-n field is the normalized holomorphic flow of V: loops
-        # through the stationary points are traversed as bounded recurrent
-        # geometric curves on the documented grid
+    def test_even_n_curves_end_at_the_double_zero(self):
+        # the even-n field is the normalized holomorphic flow of V; on the
+        # grid its orbits run into the double zero z = 0 and end there, the
+        # last sample less than two steps from it
         for n in (2, 4):
-            z0, coast = self.GRID[n]
-            pts = analysis.coupling_angle_portrait(n, z0, coast=coast)
+            z0, step = self.GRID[n]
+            pts = analysis.coupling_angle_portrait(n, z0, step=step)
+            assert abs(pts[-1]) < 2 * step
             assert np.max(np.abs(pts)) < 2.5
-            assert abs(pts[-1] - pts[0]) < 0.05
+
+    def test_straight_orbit_ends_at_the_zero(self):
+        # on the real axis the unit field is constant, so one step can run
+        # through z = 0 without the arrival event firing; the curve ends there
+        for n in (1, 2, 3, 4):
+            pts = analysis.coupling_angle_portrait(n, -0.3, step=0.01)
+            assert len(pts) == 30 and abs(pts[-1]) < 0.02
+
+    def test_odd_n_curves_match_the_rk4_reference(self):
+        # on the nodes both curves share, the adaptive integration stays
+        # within the fixed-step RK4's own truncation error of it
+        for n in (1, 3):
+            z0, step = self.GRID[n]
+            new = analysis.coupling_angle_portrait(n, z0, step=step)
+            old = _rk4_portrait(n, z0, step=step)
+            m = min(len(new), len(old))
+            assert m > 300
+            assert np.max(np.abs(new[:m] - old[:m])) < 1e-6
+
+    def test_one_ulp_in_z0_leaves_the_curve(self):
+        for n, (z0, step) in self.GRID.items():
+            pts = analysis.coupling_angle_portrait(n, z0, step=step)
+            moved = analysis.coupling_angle_portrait(n, z0 * (1 + 2 ** -52), step=step)
+            assert len(moved) == len(pts)
+            assert np.max(np.abs(moved - pts)) < 1e-12
 
     @pytest.mark.xfail(strict=True, reason="the printed slope prefactor "
                        "makes the odd-n field a gradient flow (acyclic) and "
@@ -242,18 +315,39 @@ class TestCouplingAnglePortrait:
     def test_parity_as_stated_odd_closed_even_open(self):
         found_odd = []
         for n in (1, 3):
-            z0, coast = self.GRID[n]
-            pts = analysis.coupling_angle_portrait(n, z0, coast=coast)
+            pts = analysis.coupling_angle_portrait(n, self.GRID[n][0])
             found_odd.append(analysis.detect_limit_cycle(pts, tol=0.05).closed)
         assert any(found_odd)
         for n in (2, 4):
-            z0, coast = self.GRID[n]
-            pts = analysis.coupling_angle_portrait(n, z0, coast=coast)
+            pts = analysis.coupling_angle_portrait(n, self.GRID[n][0])
             assert not analysis.detect_limit_cycle(pts, tol=0.05).closed
+
+    def test_start_on_a_zero_raises(self):
+        for n, z0 in ((2, 0.0), (2, 0j), (1, 1.0), (3, cmath.exp(2j * math.pi / 3)),
+                      (4, 1j + 5e-4)):
+            with pytest.raises(DomainError):
+                analysis.coupling_angle_portrait(n, z0)
+
+    def test_integrator_stops_propagate(self, monkeypatch):
+        # only the portrait's own events end a curve quietly
+        with pytest.raises(StepSizeUnderflow):
+            analysis.coupling_angle_portrait(2, complex(math.nan, 0.0))
+        monkeypatch.setattr(integrate, "MAX_STEPS", 2)
+        with pytest.raises(FlowStopped) as exc:
+            analysis.coupling_angle_portrait(1, self.GRID[1][0])
+        assert type(exc.value) is FlowStopped
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):
             analysis.coupling_angle_portrait(2, 0.3, step=-1.0)
+        for n in (0, 2.5):
+            with pytest.raises(DomainError):
+                analysis.coupling_angle_portrait(n, 0.3)
+        # a nan or infinite step fails closed
+        with pytest.raises(DomainError):
+            analysis.coupling_angle_portrait(2, 0.3, step=math.nan)
+        with pytest.raises(DomainError):
+            analysis.coupling_angle_portrait(2, 0.3, step=math.inf)
 
 
 class TestSpectrumVariance:

@@ -381,7 +381,7 @@ class TestPathIntegrator:
         with pytest.raises(DimensionMismatch):
             solve_rk4(rhs, [0.0, 1.0], y0)
         with pytest.raises(DimensionMismatch):
-            solve_rk4(rhs, [0.0, 1.0], y0, blowup=(1e10, "y"))
+            solve_rk4(rhs, [0.0, 1.0], y0, events=((lambda t, y: abs(y[0]) - 1e10, BlowUp),))
 
     def test_one_component_sequence_keeps_its_shape(self):
         ys = solve_rk4(lambda t, y: (y[0],), [0.0, 0.5, 1.0], [1.0])
@@ -415,13 +415,56 @@ class TestPathIntegrator:
     def test_blowup_carries_stop_point_and_completed_nodes(self):
         nodes = rg.ray_contour(0.0, 2.0, 40)
         with pytest.raises(BlowUp) as exc:
-            solve_rk4(lambda t, y: y * y, nodes, 1.0, blowup=(1e12, "y"))
+            solve_rk4(lambda t, y: y * y, nodes, 1.0,
+                      events=((lambda t, y: abs(y) - 1e12, BlowUp),))
         assert abs(exc.value.tau_star - 1.0) < 1e-9
         # nodes 0, 2/39, ..., 38/39 lie before the pole of 1/(1 - tau)
         samples = exc.value.samples
         assert len(samples) == 20
         for t, y in zip(nodes, samples):
             assert abs(y - 1.0 / (1.0 - t)) < 1e-8 * abs(y)
+
+    def test_event_stops_at_its_crossing(self):
+        class Half(FlowStopped):
+            pass
+
+        nodes = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        with pytest.raises(Half) as exc:
+            solve_rk4(lambda t, y: 1.0, nodes, 0.0,
+                      events=((lambda t, y: y.real - 0.5, Half),))
+        assert abs(exc.value.tau_star - 0.5) < 1e-12
+        # only the nodes before the crossing are sampled
+        assert exc.value.samples == pytest.approx([0.0, 0.2, 0.4], abs=1e-12)
+
+    def test_first_of_two_crossings_wins(self):
+        # both events fire on the same step, listed in either order
+        class Early(FlowStopped):
+            pass
+
+        class Late(FlowStopped):
+            pass
+
+        early = (lambda t, y: y.real - 0.5, Early)
+        late = (lambda t, y: y.real - 0.5000001, Late)
+        for events in ((early, late), (late, early)):
+            with pytest.raises(Early) as exc:
+                solve_rk4(lambda t, y: 1.0, [0.0, 1.0], 0.0, events=events)
+            assert abs(exc.value.tau_star - 0.5) < 1e-12
+
+    def test_event_that_never_fires_returns_every_node(self):
+        nodes = rg.ray_contour(math.pi / 8, 1.0, 21)
+        rhs = lambda t, y: (y[0] * y[1], -y[0])  # noqa: E731
+        ys = solve_rk4(rhs, nodes, [0.5, 1.0],
+                       events=((lambda t, y: abs(y[0]) - 1e10, BlowUp),))
+        assert ys == solve_rk4(rhs, nodes, [0.5, 1.0])
+        assert len(ys) == len(nodes)
+
+    @pytest.mark.parametrize("bad", [complex(1.0, math.nan), math.nan, math.inf])
+    def test_non_finite_node_raises(self, bad):
+        with pytest.raises(DomainError):
+            solve_rk4(lambda t, y: y, [0.0, 0.5, bad], 1.0)
+        with pytest.raises(DomainError):
+            rg.n_power_flow(rg.FlowState(0.0, 1.0, 0.5), 2, [0.0, bad, 1.0])
 
     def test_rhs_overflow_ends_in_step_underflow(self):
         # an OverflowError in any stage fails the error test; the step
