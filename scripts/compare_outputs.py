@@ -9,20 +9,26 @@ pass in a fresh process per checkout, built by that checkout's own
 bench/workloads.py on its own src/, and normalizes every job's output as the
 benchmark does.  Prints the id of each job whose normalized output differs:
 arrays are compared by dtype, shape and bytes, floats by their bits, and a job
-that raised by its exception type and message.  Exits 1 if any job differs,
-else 0.  A change meant to keep every output bit for bit can be checked with
+that raised by its exception type and message.  Where the two outputs differ
+only in their numbers (same structure, shapes and other values, and for an
+output file the same text between its numbers), the id is followed by the
+largest difference of any number relative to max(1, |old|).
+Exits 1 if any job differs, else 0.  A change meant to keep every output bit for bit can be checked with
 
     mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent . --seeds 1 2
 """
 import argparse
+import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
 
 WORKLOADS = ("flow-contours", "bethe-roots", "specfun-grid", "cli-batch")
+NUMBER = re.compile(rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
 
 
 def canon(v):
@@ -39,7 +45,48 @@ def canon(v):
         return ("float", float.hex(v))
     if isinstance(v, complex):
         return ("complex", float.hex(v.real), float.hex(v.imag))
+    if isinstance(v, bytes):  # an output file of the CLI
+        return ("bytes", v)
     return (type(v).__name__, repr(v))
+
+
+def numbers(c):
+    """The numbers of a canon() form, in order, and the rest of the form."""
+    import numpy as np
+
+    kind = c[0]
+    if kind == "ndarray" and np.dtype(c[1]).kind in "iufc":
+        return list(np.frombuffer(c[3], dtype=c[1]).ravel()), c[:3]
+    if kind == "float":
+        return [float.fromhex(c[1])], kind
+    if kind == "complex":
+        return [complex(float.fromhex(c[1]), float.fromhex(c[2]))], kind
+    if kind == "bytes":  # the numbers written in the text
+        return list(map(float, NUMBER.findall(c[1]))), (kind, tuple(NUMBER.split(c[1])))
+    if kind in ("dict", "list", "tuple"):
+        nums, rest = [], []
+        for x in c[1]:
+            key, x = x if kind == "dict" else (None, x)
+            n, r = numbers(x)
+            nums += n
+            rest.append((key, r))
+        return nums, (kind, tuple(rest))
+    return [], c
+
+
+def max_rel_diff(old, new):
+    """Largest |new - old| / max(1, |old|) over the numbers of two canon()
+    forms, or None where they differ in anything but their numbers."""
+    a, rest_a = numbers(old)
+    b, rest_b = numbers(new)
+    if rest_a != rest_b or not a:
+        return None
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x != y and not (x != x and y != y):  # nan = nan here
+            d = abs(y - x) / max(1.0, abs(x))
+            worst = max(worst, d if d == d else math.inf)
+    return worst
 
 
 def one_pass(root, workload, seed, out):
@@ -103,7 +150,8 @@ def main(argv=None):
             ids += [j for j in new if j not in old]
             print(f"{workload} seed {seed}: {len(old)} jobs, {len(ids)} differ")
             for j in ids:
-                print(f"  {j}")
+                rel = max_rel_diff(old[j], new[j]) if j in old and j in new else None
+                print(f"  {j}" if rel is None else f"  {j}  max rel diff {rel:.3g}")
             differ += len(ids)
     return 1 if differ else 0
 

@@ -17,7 +17,7 @@ from . import specfun as sf
 from .errors import (CollisionError, DomainError, NoConvergence, PoleError,
                      SingularFlow, _finite)
 from .integrate import solve_rk4
-from .rgflow import FlowState, Trajectory
+from .rgflow import Trajectory
 
 _MIN_SEP = 1e-9
 _NEWTON_STEPS = 100
@@ -257,5 +257,4 @@ def gp_scaling_flow(q2: float, s_contour, chi0: complex, xi0: complex) -> Trajec
 
     chis = solve_rk4(f, pts, complex(chi0))
     xi0 = complex(xi0)
-    return Trajectory(tuple(FlowState(s, chi, xi0 * cmath.exp(s))
-                            for s, chi in zip(pts, chis)))
+    return Trajectory(tuple(pts), tuple(chis), tuple(xi0 * cmath.exp(s) for s in pts))

@@ -174,10 +174,8 @@ def _flow_rows_one_loop(p: dict, variant: str):
     grid = _linspace(g0, g1, n_points)
     traj, invariants = rgflow.one_loop_invariant_flow(
         variant, grid, float(p.get("C", 1.0)))
-    rows = []
-    for i, (st, inv) in enumerate(zip(traj.states, invariants)):
-        rows.append((grid[i] - grid[0], st.tau, st.g_inv, st.gamma, inv))
-    return rows, None
+    return [(g - grid[0], tau, g_inv, gamma, inv) for g, tau, g_inv, gamma, inv
+            in zip(grid, traj.taus, traj.g_inv, traj.gamma, invariants)], None
 
 
 def _flow_rows_contour(p: dict, variant: str):
@@ -204,8 +202,8 @@ def _flow_rows_contour(p: dict, variant: str):
                      complex(math.nan, math.nan),
                      complex(math.nan, math.nan), "diverged"))
         return rows, exc
-    return [(arc, st.tau, st.g_inv, st.gamma, math.nan)
-            for arc, st in zip(arcs, traj.states)], None
+    return [(arc, tau, g_inv, gamma, math.nan)
+            for arc, tau, g_inv, gamma in zip(arcs, traj.taus, traj.g_inv, traj.gamma)], None
 
 
 def _flow_rows_cf(p: dict):

@@ -1,23 +1,32 @@
 """Dormand–Prince 8(5,3) for complex-valued ODE systems along a polyline of nodes.
 
-The polyline is taken apart into straight runs, split at its kinks.  Along
-each run the stepper advances freely by arc length with DOP853, the
-eighth-order Runge–Kutta pair of Prince & Dormand (J. Comput. Appl. Math. 7
-(1981) 67) in the form of Hairer, Nørsett & Wanner (*Solving ODEs I*,
-§II.10), which those authors recommend for tolerances below about 1e-7:
-twelve stages plus f(t + h, y1), which is the first stage of the next step
-(FSAL), so twelve RHS evaluations per step.  The error estimate combines the
-5th- and 3rd-order embedded differences as E5²/√(n (E5² + 0.01 E3²)), where
-E5² and E3² sum over the n components the squares of each difference scaled
-by ATOL + RTOL * max(|y|, |y1|); a step is accepted when the estimate is at
-most 1, and the next step length scales as err^(−1/8).  The nodes inside
-an accepted step, and the crossing of an event, are read off DOP853's
-7th-order continuous extension (HNW §II.6), so the node spacing does not
-limit the step; the extension costs three more RHS evaluations, on those
-steps only.  A step lands exactly on every kink and on the last node; the
-step length carries over from one run to the next.  An event is a real
-g(t, y) paired with the `FlowStopped` subclass to raise where g turns
-positive: the flows' blow-up and the portraits' stops.
+The polyline is walked as straight runs, split at its kinks, and read
+lazily: before each step the walk reads nodes only until the run ends (at a
+kink or at the last node) or until the farthest node read lies beyond the
+step plus 1 % (the stretch allowed to a run's last step), so a call that
+stops early reads few nodes past its stop.  Only the finiteness test reads
+every node, up front, as one sum that is finite only when every node is; the
+nodes are tested one by one only when that sum is not finite.  Along each
+run the stepper advances freely by arc length with DOP853, the eighth-order
+Runge–Kutta pair of Prince & Dormand (J. Comput. Appl. Math. 7 (1981) 67) in
+the form of Hairer, Nørsett & Wanner (*Solving ODEs I*, §II.10), which those
+authors recommend for tolerances below about 1e-7: twelve stages plus
+f(t + h, y1), which is the first stage of the next step (FSAL), so twelve RHS
+evaluations per step.  The error estimate combines the 5th- and 3rd-order
+embedded differences as E5²/√(n (E5² + 0.01 E3²)), where E5² and E3² sum over
+the n components the squares of each difference scaled by
+ATOL + RTOL * max(|y|, |y1|); a step is accepted when the estimate is at most
+1, and the next step length scales as err^(−1/8).  The nodes inside an
+accepted step, and the crossing of an event, are read off DOP853's 7th-order
+continuous extension (HNW §II.6), so the node spacing does not limit the
+step; the extension costs three more RHS evaluations, on those steps only.
+A step lands exactly on every kink and on the last node.  Each run is stepped
+along the direction of its first segment, the reference of the straightness
+test, so real nodes keep t real and exact.  A call's first step is the
+distance to its first distinct node, and the step length carries over from
+one run to the next.  An event is a real g(t, y) paired with the
+`FlowStopped` subclass to raise where g turns positive: the flows' blow-up
+and the portraits' stops.
 
 The state is a scalar or a pair of plain Python complex numbers, the only
 shapes the flows integrate; the RHS returns a complex number for a scalar and
@@ -36,7 +45,7 @@ from .errors import DimensionMismatch, DomainError, FlowStopped, StepSizeUnderfl
 
 RTOL = 1e-11
 ATOL = 1e-13
-MIN_STEP = 1e-16   # smallest step, as a fraction of the run length
+MIN_STEP = 1e-16   # smallest step, as a fraction of the run read so far
 MAX_STEPS = 20_000  # most steps, accepted or rejected, one call may attempt
 STRAIGHT = 1e-9    # largest change of direction inside one straight run
 
@@ -373,7 +382,13 @@ def solve_rk4(f, nodes, y0, events=()):
     sequence).  Other lengths raise DimensionMismatch.  Real nodes keep t
     real; complex nodes give complex t.  Returns y at every node: complex
     numbers for a scalar y0, tuples otherwise.  A node that is not finite
-    raises DomainError.
+    raises DomainError before the first step; a distance along a run that
+    overflows raises it where the walk reaches it.
+
+    The nodes are read lazily, run by run, as far as the steps reach (module
+    docstring): a call that an event stops reads few nodes beyond the stop.
+    The first step is the distance from the first node to the next distinct
+    one; each run is stepped along the direction of its first segment.
 
     events: pairs (g, exc) of a real g(t, y), y shaped as y0, and a
     FlowStopped subclass.  An event fires when g > 0 at the end of an
@@ -385,7 +400,8 @@ def solve_rk4(f, nodes, y0, events=()):
     and StepSizeUnderflow carry the t where the integration stopped
     (``tau_star``) and y at every node before it (``samples``).
     """
-    if not all(map(cmath.isfinite, nodes)):
+    # the sum is finite only when every node is; it overflows for some that are
+    if not cmath.isfinite(sum(nodes)) and not all(map(cmath.isfinite, nodes)):
         raise DomainError("solve_rk4 needs finite nodes")
     scalar = isinstance(y0, numbers.Number)
     y = (complex(y0),) if scalar else tuple(complex(a) for a in y0)
@@ -414,40 +430,48 @@ def solve_rk4(f, nodes, y0, events=()):
             out.append(y)
             i += 1
             continue
-        # the straight run from node i to node j; arcs holds the distances of
-        # nodes i + 1 .. j from its start
+        # the straight run from node i, read as far as the steps reach: node j
+        # is the farthest read, arcs holds the distances of nodes i + 1 .. j
+        # from ta, and the run has ended once j is a kink or the last node
         j = i + 1
+        d = nodes[j] - ta
         try:
-            d = nodes[j] - ta
-            unit = d / abs(d)
-            while j < last:
-                d = nodes[j + 1] - nodes[j]
-                if d != 0 and abs(d / abs(d) - unit) > STRAIGHT:
-                    break
-                j += 1
-            arcs = [abs(nodes[m] - ta) for m in range(i + 1, j + 1)]
+            arcs = [abs(d)]
+            unit = d / arcs[0]
         except OverflowError:  # abs() of a complex distance past the double range
             arcs = [math.inf]
-        tb = nodes[j]
-        length = arcs[-1]
-        if length == math.inf:
-            raise DomainError(f"a distance along the contour from {ta} overflows")
-        unit = (tb - ta) / length
         if h is None:
-            # a run too short to split into 16 representable steps is one step
-            h = length / 16.0 or length
-        t, u, m, rejected = ta, 0.0, 0, False
-        while u < length:
+            h = arcs[0]
+        t, u, m, rejected, ended = ta, 0.0, 0, False, j == last
+        while True:
+            # read past the reach of the clamp test below, so that nodes
+            # repeated where the step lands are read with it
+            try:
+                while not ended and arcs[-1] <= u + 1.01 * h:
+                    d = nodes[j + 1] - nodes[j]
+                    if d != 0 and abs(d / abs(d) - unit) > STRAIGHT:
+                        ended = True
+                    else:
+                        j += 1
+                        arcs.append(abs(nodes[j] - ta))
+                        ended = j == last
+            except OverflowError:
+                arcs.append(math.inf)
+            if arcs[-1] == math.inf:
+                raise DomainError(f"a distance along the contour from {ta} overflows")
+            if u >= arcs[-1] and ended:
+                break
             steps += 1
             if steps > MAX_STEPS:
                 raise FlowStopped(f"step budget of {MAX_STEPS} spent at t = {t}",
                                   tau_star=t, samples=unpack(out))
             # stretch the last step of a run by up to 1 % rather than leave a sliver
-            clamped = u + 1.01 * h >= length
+            length = arcs[-1]
+            clamped = ended and u + 1.01 * h >= length
             step = length - u if clamped else h
-            dt = tb - t if clamped else step * unit
+            dt = nodes[j] - t if clamped else step * unit
             u1 = length if clamped else u + step
-            t1 = tb if clamped else ta + u1 * unit
+            t1 = nodes[j] if clamped else ta + u1 * unit
             try:
                 if k1 is None:
                     k1 = f(t, y)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import specfun as sf
-from .errors import (BlowUp, BranchCollision, BranchCut, DivisionByZero,
-                     DomainError, ExceptionalPoint, NoConvergence, Overflow,
-                     PoleError, RangeError, _finite)
+from .errors import (BlowUp, BranchCollision, BranchCut, DimensionMismatch,
+                     DivisionByZero, DomainError, ExceptionalPoint, NoConvergence,
+                     Overflow, PoleError, RangeError, _finite)
 from .integrate import solve_rk4
 
 
@@ -41,11 +41,26 @@ class FlowState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: tuple          # ordered FlowState samples
+    """Ordered flow samples, held as three equal-length tuples of columns."""
+
+    taus: tuple
+    g_inv: tuple
+    gamma: tuple
 
     def __post_init__(self):
-        if len(self.states) == 0:
+        if len(self.taus) == 0:
             raise DomainError("trajectory must contain at least one state")
+        if not len(self.taus) == len(self.g_inv) == len(self.gamma):
+            raise DimensionMismatch("trajectory columns differ in length")
+        for col in (self.taus, self.g_inv, self.gamma):
+            # the sum is finite only when every entry is; it overflows for some that are
+            if not cmath.isfinite(sum(col)) and not all(map(cmath.isfinite, col)):
+                raise DomainError("flow state fields must be finite")
+
+    @property
+    def states(self) -> tuple:
+        """The samples as FlowStates, built on each access."""
+        return tuple(map(FlowState, self.taus, self.g_inv, self.gamma))
 
 
 @dataclass(frozen=True)
@@ -142,7 +157,7 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
     gammas = [float(g) for g in gamma_grid]
     if any(g <= 0 for g in gammas) or any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise DomainError("gamma_grid must be positive and increasing")
-    states, invariants = [], []
+    g_invs, invariants = [], []
     if variant == "separated_v1":
         root = 1.5 * (C + 2.0 * math.sqrt(gammas[0]))
         if root <= 0:
@@ -164,18 +179,19 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
             invariants.append(level - 2.0 * math.sqrt(g))
             if abs(invariants[-1] - invariants[0]) > 1e-9 * level:
                 raise DomainError(f"one-loop g_inv cannot be held to 1e-9 at gamma = {g}")
-            states.append(FlowState(g, g_inv, g))
+            g_invs.append(g_inv)
     elif variant == "appendix_v2":
         for g in gammas:
             arg = math.log(1.0 / g) + C
             if arg < 0 and not complex_mode:
                 raise DomainError("negative level-set argument; pass complex_mode=True")
             g_inv = g * cmath.sqrt(arg)
-            states.append(FlowState(g, g_inv, g))
+            g_invs.append(g_inv)
             invariants.append((g_inv / g) ** 2 - math.log(1.0 / g))
     else:
         raise DomainError(f"unknown variant {variant!r}")
-    return Trajectory(tuple(states)), invariants
+    gammas = tuple(gammas)
+    return Trajectory(gammas, tuple(g_invs), gammas), invariants
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +212,8 @@ def _flow(rhs, init: FlowState, contour) -> Trajectory:
     except BlowUp as exc:  # name what diverged
         raise BlowUp(f"inverse propagator diverged at flow parameter {exc.tau_star}",
                      exc.tau_star, exc.samples) from None
-    return Trajectory(tuple(FlowState(t, g, gam) for t, (g, gam) in zip(taus, samples)))
+    g_inv, gamma = zip(*samples)
+    return Trajectory(tuple(taus), g_inv, gamma)
 
 
 def n_power_flow(init: FlowState, N: int, contour) -> Trajectory:

@@ -284,11 +284,13 @@ class TestCouplingAnglePortrait:
             assert np.max(np.abs(pts)) < 2.5
 
     def test_straight_orbit_ends_at_the_zero(self):
-        # on the real axis the unit field is constant, so one step can run
-        # through z = 0 without the arrival event firing; the curve ends there
+        # the curve ends before it comes within step of z = 0: at the arrival
+        # event, or, where a step along the real axis (on which the unit field
+        # is constant) runs through the zero without it firing, at the cut of
+        # the samples there
         for n in (1, 2, 3, 4):
             pts = analysis.coupling_angle_portrait(n, -0.3, step=0.01)
-            assert len(pts) == 30 and abs(pts[-1]) < 0.02
+            assert 0.01 <= abs(pts[-1]) < 0.02
 
     def test_odd_n_curves_match_the_rk4_reference(self):
         # on the nodes both curves share, the adaptive integration stays

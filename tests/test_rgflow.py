@@ -122,6 +122,33 @@ class TestOneLoopInvariantFlow:
             rg.one_loop_invariant_flow("separated_v1", [0.5, 0.4], 0.0)
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [complex(1.0, math.nan), math.nan, math.inf])
+    def test_non_finite_entry_raises(self, column, bad):
+        cols = [[0.0, 0.5, 1.0], [1.0, 1.0 + 1j, 2.0], [0.5, 0.5, 0.5]]
+        cols[column][1] = bad
+        with pytest.raises(DomainError):
+            rg.Trajectory(*map(tuple, cols))
+
+    def test_finite_entries_whose_sum_overflows_are_kept(self):
+        traj = rg.Trajectory((0.0, 1.0), (1e308, 1.7e308), (1e308j, 1.7e308j))
+        assert traj.g_inv == (1e308, 1.7e308)
+
+    def test_columns_of_unequal_length_raise(self):
+        with pytest.raises(DimensionMismatch):
+            rg.Trajectory((0.0, 1.0), (1.0, 2.0), (0.5,))
+        with pytest.raises(DomainError):
+            rg.Trajectory((), (), ())
+
+    def test_states_are_built_from_the_columns(self):
+        traj = rg.n_power_flow(rg.FlowState(0.0, 0.8, 0.4), 2,
+                               rg.ray_contour(math.pi / 8, 0.5, 11))
+        assert traj.states == tuple(rg.FlowState(*row) for row in
+                                    zip(traj.taus, traj.g_inv, traj.gamma))
+        assert len(traj.states) == 11
+
+
 # ---------------------------------------------------------------------------
 # N-power flow
 # ---------------------------------------------------------------------------
@@ -400,7 +427,7 @@ class TestPathIntegrator:
     def test_step_carries_across_nodes(self):
         # A DOP853 step costs twelve evaluations, fifteen with the continuous
         # extension.  Restarting on every segment of this grid costs 37 per
-        # node; carrying the step across nodes costs 0.32 per node.
+        # node; carrying the step across nodes costs 0.33 per node.
         calls = []
 
         def rhs(tau, y):
@@ -466,6 +493,31 @@ class TestPathIntegrator:
         with pytest.raises(DomainError):
             rg.n_power_flow(rg.FlowState(0.0, 1.0, 0.5), 2, [0.0, bad, 1.0])
 
+    def test_finite_nodes_whose_sum_overflows_integrate(self):
+        # the up-front sum is inf, so every node is tested on its own
+        ys = solve_rk4(lambda t, y: 1e-308, [1e308, 1.5e308, 1.7e308], 1.0)
+        assert ys == pytest.approx([1.0, 1.5, 1.7], rel=1e-12)
+
+    def test_walk_reads_only_the_nodes_it_reaches(self):
+        # an event at t = 0.5 on nodes up to t = 100: the walk reads nodes
+        # only as far as its steps reach
+        class Probe(list):
+            read = -1
+
+            def __getitem__(self, k):
+                self.read = max(self.read, k)
+                return super().__getitem__(k)
+
+        class Half(FlowStopped):
+            pass
+
+        nodes = Probe(k * 1e-3 for k in range(100001))
+        with pytest.raises(Half) as exc:
+            solve_rk4(lambda t, y: 1.0, nodes, 0.0,
+                      events=((lambda t, y: y.real - 0.5, Half),))
+        assert abs(exc.value.tau_star - 0.5) < 1e-12
+        assert 0 < nodes.read < 0.02 * len(nodes)
+
     def test_rhs_overflow_ends_in_step_underflow(self):
         # an OverflowError in any stage fails the error test; the step
         # shrinks onto t = 0.55 and then underflows
@@ -485,7 +537,8 @@ class TestPathIntegrator:
 
     @pytest.mark.parametrize("length", [5e-324, 3.5e-323])
     def test_run_too_short_for_sixteen_steps_ends(self, length, time_limit):
-        # length / 16 underflows to 0: the run is one clamped step
+        # the first step is the distance to the first node, here the whole
+        # subnormal run, which it covers in one clamped step
         with time_limit(5.0):
             ys = solve_rk4(lambda t, y: y, [0.0, length], 1.0)
         assert ys == [1.0, 1.0]
@@ -511,7 +564,7 @@ class TestPathIntegrator:
     def test_dense_nodes_cost_at_most_two_evaluations_each(self):
         # Steps clamped onto every node cost twelve or more evaluations per
         # node; free steps, with the nodes read off the continuous extension
-        # (fifteen evaluations per step), cost 0.32 per node here.
+        # (fifteen evaluations per step), cost 0.33 per node here.
         calls = []
 
         def rhs(tau, y):
@@ -534,7 +587,7 @@ class TestPathIntegrator:
         nodes = [k * (0.001 + 0.0001j) for k in range(10001)]
         ys = solve_rk4(rhs, nodes, 1.0)
         # fifteen evaluations per step with the extension: more than 25
-        # nodes per step (this run takes 0.066 evaluations per node)
+        # nodes per step (this run takes 0.067 evaluations per node)
         assert len(calls) < 0.6 * len(nodes)
         for t, y in zip(nodes, ys):
             assert abs(y - cmath.exp(1j * t)) < 1e-9
