@@ -4,17 +4,16 @@ and the phase-diagram scan over potential powers.
 
 The cycle detector works on raw point sequences: nearest-return distance from
 the start point, winding number by summed argument increments around the loop
-centroid, and an optional log-spiral fit (t = c e^{-theta}) when the
-trajectory does not close.
+centroid (`closure_integral`), and an optional log-spiral fit (t = c e^{-theta})
+when the trajectory does not close.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import specfun as sf
 from .errors import (DegenerateTrajectory, DimensionMismatch, DomainError,
@@ -43,65 +42,70 @@ class PhasePoint:
     divergent: bool = False
 
 
-def _aitken_focus(pts: np.ndarray) -> complex:
+def _aitken_focus(pts: list) -> complex:
     """Convergence point of a geometrically contracting spiral.
 
     For z_k = f + c rho^k every index triple gives f exactly through the
     Aitken delta-squared formula; the median over triples makes the estimate
     robust to non-uniform sampling.
     """
-    num = pts[:-2] * pts[2:] - pts[1:-1] ** 2
-    den = pts[:-2] - 2 * pts[1:-1] + pts[2:]
-    ok = np.abs(den) > 1e-12 * np.max(np.abs(pts))
-    if not np.any(ok):
+    scale = 1e-12 * max(map(abs, pts))
+    f = [(a * c - b * b) / den for a, b, c in zip(pts, pts[1:], pts[2:])
+         if abs(den := a - 2 * b + c) > scale]
+    if not f or not all(map(cmath.isfinite, f)):
         raise DegenerateTrajectory("no curvature information for a focus estimate")
-    f = num[ok] / den[ok]
-    return complex(np.median(f.real), np.median(f.imag))
+    re, im = sorted(v.real for v in f), sorted(v.imag for v in f)
+    lo, hi = (len(f) - 1) // 2, len(f) // 2
+    return complex(re[lo] / 2 + re[hi] / 2, im[lo] / 2 + im[hi] / 2)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def detect_limit_cycle(traj: Sequence[complex], tol: float = 1e-3) -> CycleReport:
     """Classify a trajectory as a closed orbit or an open (spiral) arc.
 
     Closure requires the nearest return to the start point (searched after
-    the point of maximal excursion) to fall within ``tol`` and the centroid
-    winding number of the start-to-return loop to be a nonzero integer
-    within 1e-3.  Near the double range the arithmetic overflows quietly;
-    raises DomainError where the winding number is then lost.
+    the point of maximal excursion) to fall within ``tol`` and the winding
+    number of the start-to-return loop about its centroid c,
+    `closure_integral` (loop - c).imag / 2 pi, to be a nonzero integer within
+    1e-3.  Where the loop's polyline passes within 1e-9 max|z - c| of c the
+    winding is undefined and reported as 0.  Raises DomainError where the
+    coordinates overflow.
     """
-    pts = np.asarray([complex(z) for z in traj])
-    if len(pts) < 8:
-        raise DomainError("trajectory needs at least 8 samples")
-    d0 = np.abs(pts - pts[0])
-    if float(np.max(d0)) < 1e-15:
-        raise DegenerateTrajectory("all trajectory points coincide")
-
-    far = int(np.argmax(d0))
-    if far < 2:
-        far = 2
-    k = far + int(np.argmin(d0[far:]))
-    ret = float(d0[k])
-    loop = pts[: k + 1]
-    centroid = loop.mean()
-    rel = loop - centroid
-    ang = np.unwrap(np.angle(rel))
-    wind = float((ang[-1] - ang[0]) / (2.0 * math.pi))
-    if not math.isfinite(wind):
+    pts = [complex(z) for z in traj]
+    if len(pts) < 8 or not all(map(cmath.isfinite, pts)):
+        raise DomainError("trajectory needs at least 8 samples, all finite")
+    try:
+        d0 = [abs(z - pts[0]) for z in pts]
+        if max(d0) < 1e-15:
+            raise DegenerateTrajectory("all trajectory points coincide")
+        far = max(2, d0.index(max(d0)))
+        k = min(range(far, len(pts)), key=d0.__getitem__)
+        loop = pts[: k + 1]
+        c = sum(loop) / len(loop)
+        rel = [z - c for z in loop]
+        r = max(map(abs, rel))
+        # the distance from c of each segment's nearest point a + s (b - a), s in [0, 1]
+        near = any(abs(a + min(1.0, max(0.0, -(a / (b - a)).real if b != a else 0.0))
+                       * (b - a)) < 1e-9 * r for a, b in zip(rel, rel[1:]))
+    except OverflowError:
+        r = math.inf
+    if not r < math.inf:
         raise DomainError("trajectory coordinates overflow the winding number")
+    wind = 0.0 if near else closure_integral(rel).imag / (2.0 * math.pi)
     wind_int = int(round(wind))
-    closed = (ret < tol and wind_int != 0
-              and abs(wind - wind_int) < _WINDING_TOL)
+    ret = d0[k]
+    closed = ret < tol and wind_int != 0 and abs(wind - wind_int) < _WINDING_TOL
 
     spiral_c = spiral_residual = None
     if not closed:
         try:
             focus = _aitken_focus(pts)
-            t = np.abs(pts - focus)
-            if np.all(t > 0):
-                theta = np.unwrap(np.angle(pts - focus))
-                spiral_c, spiral_residual = spiral_invariant_fit(
-                    list(zip(theta, t)))
-        except (DegenerateTrajectory, DomainError):
+            w = [z - focus for z in pts]
+            t = [abs(v) for v in w]
+            if all(x > 0 for x in t):
+                theta = accumulate((cmath.phase(b / a) for a, b in zip(w, w[1:])),
+                                   initial=cmath.phase(w[0]))
+                spiral_c, spiral_residual = spiral_invariant_fit(zip(theta, t))
+        except (DegenerateTrajectory, DomainError, OverflowError):
             pass
     return CycleReport(closed=closed, winding=wind_int,
                        period_estimate=float(k), min_return_distance=ret,
@@ -116,10 +120,10 @@ def closure_integral(values: Sequence[complex]) -> complex:
     imaginary part diagnoses an open arc.  This is the quadrature form of
     the contour criterion oint d(log V) = 0 mod 2*pi*i.
     """
-    vals = np.asarray([complex(v) for v in values])
-    if np.any(vals == 0):
+    vals = [complex(v) for v in values]
+    if 0 in vals:
         raise PoleError("log V undefined where V vanishes")
-    return complex(np.sum(np.log(vals[1:] / vals[:-1])))
+    return sum((cmath.log(b / a) for a, b in zip(vals, vals[1:])), 0j)
 
 
 def spiral_invariant_fit(points) -> tuple:
@@ -162,16 +166,17 @@ class _PortraitEnd(FlowStopped):
 
 def coupling_angle_portrait(n: int, z0: complex, step: float = 1e-3,
                             max_steps: int = 15000,
-                            flip_sign: bool = False) -> np.ndarray:
+                            flip_sign: bool = False) -> list:
     """Integral curve of the coupling-angle line field through z0.
 
     The field's angle is arg V mod pi, V = z^2 (z^n - 1)(z - 1), with the
     slope's sign (-1)^n: the curve is an orbit of V/|V| for even n and of
     conj(V)/|V| for odd n (``flip_sign`` swaps the two), traced in arc
     length by `solve_rk4` and sampled every ``step``, ``max_steps`` times at
-    most.  It ends before |z| passes 4, before it comes within ``step`` of a
-    zero of V (0, 1 and the n-th roots of unity), or at its first return to
-    within 0.02 of z0.  A z0 within ``step`` of a zero raises DomainError.
+    most; the samples are returned as a list.  It ends before |z| passes 4,
+    before it comes within ``step`` of a zero of V (0, 1 and the n-th roots
+    of unity), or at its first return to within 0.02 of z0.  A z0 within
+    ``step`` of a zero raises DomainError.
     """
     if n < 1 or n % 1 or step <= 0 or max_steps < 1:
         raise DomainError("n must be a positive integer, step and max_steps positive")
@@ -188,20 +193,22 @@ def coupling_angle_portrait(n: int, z0: complex, step: float = 1e-3,
     events = ((lambda t, z: abs(z) - 4.0, _PortraitEnd),
               (lambda t, z: step - min(abs(z - w) for w in zeros), _PortraitEnd))
     try:
-        pts = np.asarray(solve_rk4(field, [k * step for k in range(max_steps + 1)],
-                                   z0, events=events))
+        pts = solve_rk4(field, [k * step for k in range(max_steps + 1)], z0, events=events)
     except _PortraitEnd as stop:
-        pts = np.asarray(stop.samples)
-    # a step straight through a zero (the real axis) skips its event, not its samples
-    near = np.flatnonzero(np.min(np.abs(pts[:, None] - np.array(zeros)), axis=1) < step)
-    pts = pts[:near[0]] if near.size else pts
-    # the first return: within 0.02 of z0, once more than 0.3 and more than
-    # 60 % of the farthest distance so far away
-    d = np.abs(pts - z0)
-    farthest = np.maximum.accumulate(d)
-    armed = np.flatnonzero((farthest > 0.3) & (d > 0.6 * farthest))
-    back = np.flatnonzero(d[armed[0]:] < 0.02) if armed.size else armed
-    return pts[:armed[0] + back[0] + 1] if back.size else pts
+        pts = stop.samples
+    farthest, armed = 0.0, False
+    for i, z in enumerate(pts):
+        # a step straight through a zero (the real axis) skips its event, not its samples
+        if any(abs(z - w) < step for w in zeros):
+            return pts[:i]
+        # the first return: within 0.02 of z0, once more than 0.3 and more
+        # than 60 % of the farthest distance so far away
+        d = abs(z - z0)
+        farthest = max(farthest, d)
+        armed = armed or farthest > 0.3 and d > 0.6 * farthest
+        if armed and d < 0.02:
+            return pts[:i + 1]
+    return pts
 
 
 def spectrum_variance(eigs: Sequence[complex]) -> complex:
@@ -224,11 +231,12 @@ def c_flow_contraction(betas: Sequence[float], metric) -> float:
     Negative for positive-definite G (monotone decrease of the central
     function); sign-indefinite metrics open the violation branch.
     """
-    b = np.asarray(betas, dtype=float)
-    G = np.asarray(metric, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] != b.shape[0]:
-        raise DimensionMismatch("metric must be square with dimension len(betas)")
-    return float(-12.0 * b @ G @ b)
+    b = [float(x) for x in betas]
+    try:
+        return -12.0 * sum(bi * sum(float(g) * bj for g, bj in zip(row, b, strict=True))
+                           for bi, row in zip(b, metric, strict=True))
+    except (TypeError, ValueError):  # a row that is a number or of another length
+        raise DimensionMismatch("metric must be square with dimension len(betas)") from None
 
 
 @dataclass(frozen=True)
@@ -331,20 +339,20 @@ def phase_diagram_scan(N_values: Sequence[float], gamma: float, E0: float,
 
 def power_law_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple:
     """Log-log least squares y = a x^p; returns (p, a, r^2)."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if len(x) < 3 or len(x) != len(y):
+    if len(xs) < 3 or len(xs) != len(ys):
         raise DomainError("need at least 3 matched samples")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise DomainError("power-law fit requires positive data")
-    lx, ly = np.log(x), np.log(y)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    if not all(0 < v < math.inf for v in (*xs, *ys)):
+        raise DomainError("power-law fit requires positive finite data")
+    lx, ly = [math.log(v) for v in xs], [math.log(v) for v in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    sxx = sum((u - mx) ** 2 for u in lx)
+    if sxx == 0:
+        raise DomainError("power-law fit needs two distinct x values")
+    p = sum((u - mx) * (v - my) for u, v in zip(lx, ly)) / sxx
+    ss_res = sum((v - my - p * (u - mx)) ** 2 for u, v in zip(lx, ly))
+    ss_tot = sum((v - my) ** 2 for v in ly)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(math.exp(coef[1])), r2
+    return p, math.exp(my - p * mx), r2
 
 
 def wavefn_z_relation(z_r: float) -> float:

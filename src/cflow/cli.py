@@ -72,13 +72,13 @@ def _need(params: dict, *keys):
 
 
 def _linspace(start: float, stop: float, n: int) -> list:
-    """np.linspace(start, stop, n).tolist() for n >= 1, by numpy's own
-    arithmetic, so the cold CLI path needs no numpy."""
+    """np.linspace(start, stop, n).tolist() for n >= 1, by np.linspace's own
+    arithmetic, so the cold CLI path needs no array library."""
     delta = stop - start
     if n == 1:
         return [0.0 * delta + start]
     step = delta / (n - 1)
-    if step == 0:  # numpy's branch for a subnormal step
+    if step == 0:  # np.linspace's branch for a subnormal step
         grid = [i / (n - 1) * delta + start for i in range(n)]
     else:
         grid = [i * step + start for i in range(n)]

@@ -449,7 +449,7 @@ def solve_rk4(f, nodes, y0, events=()):
             try:
                 while not ended and arcs[-1] <= u + 1.01 * h:
                     d = nodes[j + 1] - nodes[j]
-                    if d != 0 and abs(d / abs(d) - unit) > STRAIGHT:
+                    if d != 0 and not abs(d / abs(d) - unit) <= STRAIGHT:
                         ended = True
                     else:
                         j += 1

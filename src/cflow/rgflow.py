@@ -9,7 +9,7 @@ continued-fraction propagator recursion, and third-order corrections.
 Flow contours are polylines in the complex tau plane; straight-ray contours
 tau(s) = s e^{i alpha} are built with `ray_contour`.  The log-action tail is
 a power series near 0 and a finite sum of logarithms elsewhere, continued
-across its cut by the closed-form jump, so the module needs no numpy.
+across its cut by the closed-form jump, so the module needs no array library.
 """
 from __future__ import annotations
 

@@ -74,6 +74,16 @@ class TestDetectLimitCycle:
         assert not rep.closed
         assert rep.winding == 0
 
+    @pytest.mark.parametrize("n", [400, 801])
+    def test_winding_through_the_centroid_is_zero(self, n):
+        # the figure-eight passes through its own centroid, where its winding
+        # is undefined: rounding in the centroid alone used to decide between
+        # 1, 0 and -1
+        t = np.linspace(0.0, 2.0 * math.pi, n)
+        rep = analysis.detect_limit_cycle(np.sin(2 * t) + 1j * np.sin(t), tol=1e-3)
+        assert not rep.closed
+        assert rep.winding == 0
+
     def test_log_spiral_open_with_recovered_invariant(self):
         th = np.linspace(0.0, 4.0 * math.pi, 500)
         traj = np.exp(-th) * np.exp(1j * th)
@@ -100,6 +110,15 @@ class TestDetectLimitCycle:
             analysis.detect_limit_cycle([1.0 + 1.0j] * 20)
         with pytest.raises(DomainError):
             analysis.detect_limit_cycle([0.0, 1.0, 1j])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_sample_raises(self, bad):
+        # before, inside or after the loop; min and max skip a nan
+        for k in (0, 100, 255):
+            traj = list(_circle())
+            traj[k] = bad
+            with pytest.raises(DomainError):
+                analysis.detect_limit_cycle(traj)
 
     @settings(max_examples=25, deadline=None)
     @given(radius=st.floats(0.1, 10.0), cx=st.floats(-5, 5),
@@ -269,7 +288,7 @@ class TestCouplingAnglePortrait:
 
     def test_odd_n_trajectories_escape(self):
         for n in (1, 3):
-            pts = analysis.coupling_angle_portrait(n, self.GRID[n][0])
+            pts = np.asarray(analysis.coupling_angle_portrait(n, self.GRID[n][0]))
             assert np.max(np.abs(pts - pts[0])) > 3.0
             assert not analysis.detect_limit_cycle(pts, tol=0.05).closed
 
@@ -305,8 +324,9 @@ class TestCouplingAnglePortrait:
 
     def test_one_ulp_in_z0_leaves_the_curve(self):
         for n, (z0, step) in self.GRID.items():
-            pts = analysis.coupling_angle_portrait(n, z0, step=step)
-            moved = analysis.coupling_angle_portrait(n, z0 * (1 + 2 ** -52), step=step)
+            pts = np.asarray(analysis.coupling_angle_portrait(n, z0, step=step))
+            moved = np.asarray(analysis.coupling_angle_portrait(
+                n, z0 * (1 + 2 ** -52), step=step))
             assert len(moved) == len(pts)
             assert np.max(np.abs(moved - pts)) < 1e-12
 
@@ -391,9 +411,22 @@ class TestCFlowContraction:
             b = rng.standard_normal(4)
             assert analysis.c_flow_contraction(b, G) < 0
 
+    def test_nested_lists_match_the_matrix_product(self):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            G = rng.standard_normal((3, 3))
+            b = rng.standard_normal(3)
+            got = analysis.c_flow_contraction(b.tolist(), G.tolist())
+            assert got == pytest.approx(-12.0 * (b @ G @ b), rel=1e-12, abs=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             analysis.c_flow_contraction([1.0, 2.0], np.eye(3))
+
+    def test_flat_ragged_or_deep_metric_raises(self):
+        for G in ([1.0, 2.0], [[1.0, 0.0], [0.0]], np.ones((2, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                analysis.c_flow_contraction([1.0, 2.0], G)
 
 
 class TestMatsubaraScale:
@@ -495,11 +528,32 @@ class TestPowerLawFit:
         assert abs(e - 2.0) < 0.02
         assert r2 > 0.99
 
+    def test_matches_numpy_least_squares(self):
+        # the data of the two tests above, against numpy's solver
+        x1 = np.linspace(1.0, 9.0, 20)
+        x2 = np.linspace(1.0, 20.0, 60)
+        noise = 0.01 * np.random.default_rng(23).standard_normal(len(x2))
+        for x, y in ((x1, 3.0 * x1 ** 2), (x1, x1 ** (2.0 / 3.0)),
+                     (x2, x2 ** 2 * (1.0 + noise))):
+            A = np.vstack([np.log(x), np.ones(len(x))]).T
+            (p, lna), *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
+            e, a, _ = analysis.power_law_fit(x, y)
+            assert abs(e - p) < 1e-12 * max(1.0, abs(p))
+            assert abs(a - math.exp(lna)) < 1e-12 * max(1.0, math.exp(lna))
+
     def test_rejects_bad_data(self):
         with pytest.raises(DomainError):
             analysis.power_law_fit([1.0, 2.0], [1.0, 4.0])
         with pytest.raises(DomainError):
             analysis.power_law_fit([1.0, -2.0, 3.0], [1.0, 4.0, 9.0])
+
+    def test_rejects_repeated_x_and_non_finite_data(self):
+        # the exponent is undefined where every x is the same
+        for xs, ys in (([2.0, 2.0, 2.0], [1.0, 4.0, 9.0]),
+                       ([1.0, 2.0, math.nan], [1.0, 4.0, 9.0]),
+                       ([1.0, 2.0, 3.0], [1.0, math.inf, 9.0])):
+            with pytest.raises(DomainError):
+                analysis.power_law_fit(xs, ys)
 
 
 class TestWavefnZRelation:

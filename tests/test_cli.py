@@ -492,11 +492,16 @@ print("ok")
 
 
 def test_cold_flow_eval_wetterich_do_not_import_numpy(tmp_path):
-    # numpy costs about half of a cold cflow process; flow, eval,
-    # wetterich, oscillator and the log-action run without it
+    # numpy costs about half of a cold cflow process; flow, eval, wetterich,
+    # oscillator, cycle, phase and the log-action run without it
     script = """
 import cmath, math, sys
 import cflow.cli
+rows = ["s,Re tau,Im tau,Re g_inv,Im g_inv,Re gamma,Im gamma,invariant"]
+rows += [f"{k},0.0,0.0,{math.cos(k / 10)},{math.sin(k / 10)},0.0,0.0,nan"
+         for k in range(64)]
+with open("circ.csv", "w") as fh:
+    fh.write("\\n".join(rows) + "\\n")
 runs = [
     ["flow", "--variant", "n-power", "--N", "2", "--n_points", "9",
      "--out", "np.csv", "--svg", "np.svg"],
@@ -509,6 +514,8 @@ runs = [
      "--out", "w.json"],
     ["oscillator", "--N", "2", "--gamma", "0.5", "--E_re", "1.0",
      "--out", "c.csv"],
+    ["cycle", "--input", "circ.csv", "--out", "cyc.json"],
+    ["phase", "--N_list", "2,3,4", "--gamma", "0.5", "--out", "ph.csv"],
 ]
 for argv in runs:
     assert cflow.cli.main(argv) == 0, argv

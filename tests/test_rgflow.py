@@ -498,6 +498,13 @@ class TestPathIntegrator:
         ys = solve_rk4(lambda t, y: 1e-308, [1e308, 1.5e308, 1.7e308], 1.0)
         assert ys == pytest.approx([1.0, 1.5, 1.7], rel=1e-12)
 
+    def test_segment_whose_length_overflows_is_a_kink(self):
+        # 1e308 -> -1e308 differs by -inf: its direction is nan, which must
+        # end the run from 0 rather than join it; the run that starts there
+        # then has an infinite length
+        with pytest.raises(DomainError):
+            solve_rk4(lambda t, y: 1.0, [0.0, 1e308, -1e308], 1.0)
+
     def test_walk_reads_only_the_nodes_it_reaches(self):
         # an event at t = 0.5 on nodes up to t = 100: the walk reads nodes
         # only as far as its steps reach
