@@ -11,35 +11,27 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Optional, Sequence
 
 from . import specfun as sf
 from .errors import (DegenerateTrajectory, DimensionMismatch, DomainError,
-                     FlowStopped, PoleError, _finite)
+                     FlowStopped, PoleError, _finite, _Record)
 from .integrate import solve_rk4
 from .rgflow import lr_beta_closed_form
 
 _WINDING_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    closed: bool
-    winding: int
-    period_estimate: float        # samples from start to nearest return
-    min_return_distance: float
-    spiral_c: Optional[float] = None
-    spiral_residual: Optional[float] = None
+class CycleReport(_Record):
+    __slots__ = ("closed", "winding", "period_estimate", "min_return_distance",
+                 "spiral_c", "spiral_residual")  # period: samples to the nearest return
+    _defaults = {"spiral_c": None, "spiral_residual": None}
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    N: float                      # potential power, may be fractional
-    scale: float
-    exponent_fit: Optional[float] = None
-    divergent: bool = False
+class PhasePoint(_Record):
+    __slots__ = ("N", "scale", "exponent_fit", "divergent")  # power N may be fractional
+    _defaults = {"exponent_fit": None, "divergent": False}
 
 
 def _aitken_focus(pts: list) -> complex:
@@ -118,12 +110,26 @@ def closure_integral(values: Sequence[complex]) -> complex:
     For a closed orbit on which V never vanishes the sum is 2*pi*i times an
     integer (the winding of V); a nonvanishing real part or a non-integer
     imaginary part diagnoses an open arc.  This is the quadrature form of
-    the contour criterion oint d(log V) = 0 mod 2*pi*i.
+    the contour criterion oint d(log V) = 0 mod 2*pi*i.  A ratio b/a out of the double
+    range adds log b - log a, angle wrapped into (-pi, pi]; non-finite V raises DomainError.
     """
     vals = [complex(v) for v in values]
+    if not all(map(cmath.isfinite, vals)):
+        raise DomainError("closure integral needs finite values")
     if 0 in vals:
         raise PoleError("log V undefined where V vanishes")
-    return sum((cmath.log(b / a) for a, b in zip(vals, vals[1:])), 0j)
+    try:
+        total = sum((cmath.log(b / a) for a, b in zip(vals, vals[1:])), 0j)
+    except ValueError:  # a ratio underflowed to 0
+        total = math.inf
+    return total if cmath.isfinite(total) else sum(map(_log_ratio, vals, vals[1:]), 0j)
+
+
+def _log_ratio(a: complex, b: complex) -> complex:
+    if (q := b / a) != 0 and cmath.isfinite(q):
+        return cmath.log(q)
+    d = cmath.log(b) - cmath.log(a)  # the ratio left the double range: wrap the angle
+    return complex(d.real, d.imag - 2.0 * math.pi * ((d.imag > math.pi) - (d.imag <= -math.pi)))
 
 
 def spiral_invariant_fit(points) -> tuple:
@@ -239,12 +245,8 @@ def c_flow_contraction(betas: Sequence[float], metric) -> float:
         raise DimensionMismatch("metric must be square with dimension len(betas)") from None
 
 
-@dataclass(frozen=True)
-class ThermalScales:
-    n_b: complex                  # mean occupation gamma sqrt(log(C/gamma))
-    t_b: complex                  # condensation temperature scale
-    tau: complex                  # flow time sqrt(pi) erfi(log(C/gamma))
-    complex_branch: bool          # any log argument went negative
+class ThermalScales(_Record):
+    __slots__ = ("n_b", "t_b", "tau", "complex_branch")
 
 
 def matsubara_scale(gamma: float, C: float, E: float) -> ThermalScales:

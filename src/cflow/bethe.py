@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun as sf
 from .errors import (CollisionError, DomainError, NoConvergence, PoleError,
-                     SingularFlow, _finite)
+                     SingularFlow, _finite, _Record)
 from .integrate import solve_rk4
 from .rgflow import Trajectory
 
@@ -23,25 +22,19 @@ _MIN_SEP = 1e-9
 _NEWTON_STEPS = 100
 
 
-@dataclass(frozen=True)
-class BetheRoots:
-    roots: tuple           # complex x_j
-    N: int
-    residual: float        # max fixed-point defect
+class BetheRoots(_Record):
+    __slots__ = ("roots", "N", "residual")  # complex x_j; max fixed-point defect
 
-    def __post_init__(self):
+    def _check(self):
         _check_separation(self.roots)
 
 
-@dataclass(frozen=True)
-class RiccatiParams:
+class RiccatiParams(_Record):
     """Auxiliary-equation parameters: scaling power q, sign zeta, amplitude a."""
 
-    q: float
-    zeta: complex
-    a: complex
+    __slots__ = ("q", "zeta", "a")
 
-    def __post_init__(self):
+    def _check(self):
         if self.q <= 0:
             raise DomainError("q must be positive")
 

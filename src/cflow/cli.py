@@ -11,13 +11,11 @@ divergence marker row).
 """
 from __future__ import annotations
 
-import cmath
-import json
 import math
 import os
 import sys
 
-from . import rgflow, specfun, svg
+from . import specfun
 from .config import (RunConfig, SUBCOMMANDS, canonical_echo, echo_path,
                      parse_config)
 from .errors import (CflowError, FlowStopped, NoConvergence, Overflow,
@@ -52,6 +50,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    import json
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:  # NaN or infinity: not valid JSON
@@ -148,6 +147,7 @@ def _run_bethe(cfg: RunConfig) -> int:
 
 
 def _flow_rows_recursion(p: dict):
+    from . import rgflow
     state = rgflow.FlowState(0.0, complex(p.get("ginv0", 1.0)),
                              complex(p.get("gamma0", 0.5)))
     steps = int(p.get("steps", 20))
@@ -168,6 +168,7 @@ def _flow_rows_recursion(p: dict):
 
 
 def _flow_rows_one_loop(p: dict, variant: str):
+    from . import rgflow
     n_points = int(p.get("n_points", 64))
     g0 = float(p.get("gamma_start", 0.05))
     g1 = float(p.get("gamma_end", 0.5))
@@ -179,6 +180,7 @@ def _flow_rows_one_loop(p: dict, variant: str):
 
 
 def _flow_rows_contour(p: dict, variant: str):
+    from . import rgflow
     contour = rgflow.ray_contour(float(p.get("angle", 0.0)),
                                  float(p.get("s_max", 1.0)),
                                  int(p.get("n_points", 64)))
@@ -207,6 +209,7 @@ def _flow_rows_contour(p: dict, variant: str):
 
 
 def _flow_rows_cf(p: dict):
+    from . import rgflow
     sites = int(p.get("sites", 8))
     tau_max = float(p.get("tau_max", 2.0))
     taus = _linspace(0.0, tau_max, sites)
@@ -246,7 +249,7 @@ def _run_flow(cfg: RunConfig) -> int:
 
 
 def _run_cycle(cfg: RunConfig) -> int:
-    from . import analysis
+    from . import analysis, svg
     p = cfg.params
     (path,) = _need(p, "input")
     pts = [complex(x, y) for x, y in svg._read_points(path)]
@@ -294,6 +297,7 @@ def _run_phase(cfg: RunConfig) -> int:
 
 
 def _run_wetterich(cfg: RunConfig) -> int:
+    from . import rgflow
     p = cfg.params
     mode, omega, Lam = _need(p, "mode", "omega", "Lambda")
     params = rgflow.WetterichParams(omega=omega, Lambda=Lam,
@@ -311,11 +315,12 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig, svg_path: str = None) -> int:
+def run(config: RunConfig, svg_path: str | None = None) -> int:
     """Execute a validated configuration; writes outputs and the echo."""
     _write_text(echo_path(config.out_path), canonical_echo(config))
     code = _RUNNERS[config.subcommand](config)
     if svg_path is not None:
+        from . import svg
         svg.render_svg(config.out_path, svg_path)
     return code
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _Record
 
 SUBCOMMANDS = ("eval", "oscillator", "bethe", "flow", "cycle", "phase",
                "wetterich")
@@ -81,11 +79,9 @@ _DEFAULT_OUT = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    out_path: str = ""
+class RunConfig(_Record):
+    __slots__ = ("subcommand", "params", "out_path")
+    _defaults = {"params": dict, "out_path": ""}
 
 
 def _convert(sub: str, key: str, raw: str):
@@ -141,8 +137,8 @@ def _read_file(path: str):
     return pairs
 
 
-def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None,
-                 subcommand: Optional[str] = None) -> RunConfig:
+def parse_config(path: str | None = None, overrides: dict | None = None,
+                 subcommand: str | None = None) -> RunConfig:
     """Build a validated RunConfig from a file and/or flag overrides.
 
     ``overrides`` maps raw key strings to raw value strings and wins over

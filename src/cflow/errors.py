@@ -5,7 +5,7 @@ returns a finite value or raises `Overflow`.  ``_finite(value, what)``
 owns that rule: it hands back a finite value and raises
 ``Overflow("<what> leaves the double range")`` for inf or nan.  Every
 module sends its non-finite-prone results through it rather than testing
-``isfinite`` by hand.
+``isfinite`` by hand.  ``_Record`` is the frozen base of every record type.
 """
 import cmath
 
@@ -35,6 +35,48 @@ def _finite(value, what):
     if cmath.isfinite(value):
         return value
     raise Overflow(f"{what} leaves the double range")
+
+
+class _Record:
+    """Frozen record, as a frozen dataclass: fields in ``__slots__``, validation in ``_check``,
+    trailing defaults in ``_defaults`` (a class there, e.g. ``dict``, is called per instance)."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        fields = {n: d() if isinstance(d, type) else d for n, d in self._defaults.items()}
+        fields.update(**dict(zip(names, args)), **kwargs)  # a name given twice raises TypeError
+        if len(args) > len(names) or fields.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, fields[name])
+        self._check()
+
+    def _check(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class DomainError(CflowError):

@@ -9,22 +9,18 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
 from . import specfun as sf
-from .errors import DomainError, Overflow, SingularSystem, TruncationWarning
+from .errors import DomainError, Overflow, SingularSystem, TruncationWarning, _Record
 from .integrate import solve_rk4
 
 
-@dataclass(frozen=True)
-class OscParams:
+class OscParams(_Record):
     """Oscillator parameters: half-power N, coupling strength gamma, trial energy E."""
 
-    N: int
-    gamma: float
-    E: complex
+    __slots__ = ("N", "gamma", "E")
 
-    def __post_init__(self):
+    def _check(self):
         if self.N < 0:
             raise DomainError("N must be non-negative")
         if self.gamma < 0:
@@ -39,11 +35,9 @@ class OscParams:
         return (1j * self.gamma) ** (2 * self.N)
 
 
-@dataclass(frozen=True)
-class SeriesSolution:
-    coeffs: tuple           # c_0 .. c_{n_max}
-    theta_const: complex
-    params: OscParams = None
+class SeriesSolution(_Record):
+    __slots__ = ("coeffs", "theta_const", "params")  # coeffs c_0 .. c_{n_max}
+    _defaults = {"params": None}
 
 
 def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max=20):

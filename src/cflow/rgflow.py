@@ -15,39 +15,31 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import specfun as sf
 from .errors import (BlowUp, BranchCollision, BranchCut, DimensionMismatch,
                      DivisionByZero, DomainError, ExceptionalPoint, NoConvergence,
-                     Overflow, PoleError, RangeError, _finite)
+                     Overflow, PoleError, RangeError, _finite, _Record)
 from .integrate import solve_rk4
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(_Record):
     """One point of a coupling flow: parameter tau, inverse propagator, coupling."""
 
-    tau: complex
-    g_inv: complex
-    gamma: complex
+    __slots__ = ("tau", "g_inv", "gamma")
 
-    def __post_init__(self):
+    def _check(self):
         for v in (self.tau, self.g_inv, self.gamma):
             if not cmath.isfinite(v):
                 raise DomainError("flow state fields must be finite")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Ordered flow samples, held as three equal-length tuples of columns."""
 
-    taus: tuple
-    g_inv: tuple
-    gamma: tuple
+    __slots__ = ("taus", "g_inv", "gamma")
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.taus) == 0:
             raise DomainError("trajectory must contain at least one state")
         if not len(self.taus) == len(self.g_inv) == len(self.gamma):
@@ -63,17 +55,13 @@ class Trajectory:
         return tuple(map(FlowState, self.taus, self.g_inv, self.gamma))
 
 
-@dataclass(frozen=True)
-class WetterichParams:
+class WetterichParams(_Record):
     """Regulator-integral parameters: frequency, couplings, UV cutoff, power."""
 
-    omega: float
-    Lambda: float
-    gamma: float = 0.0
-    delta: float = 0.0
-    N: int = 1
+    __slots__ = ("omega", "Lambda", "gamma", "delta", "N")
+    _defaults = {"gamma": 0.0, "delta": 0.0, "N": 1}
 
-    def __post_init__(self):
+    def _check(self):
         if self.omega <= 0 or self.Lambda <= 0:
             raise DomainError("omega and Lambda must be positive")
         if self.gamma < 0 or self.delta < 0:
@@ -504,7 +492,8 @@ def third_order_corrections(g_inv: complex, gamma: complex):
 
 
 def normal_order_coeff(n: int, m: int, l: int) -> Fraction:
-    """Normal-ordering weight n! / (2^l l! (n-l)! (n-m-l)!), exact."""
+    """Normal-ordering weight n! / (2^l l! (n-l)! (n-m-l)!), an exact Fraction."""
+    from fractions import Fraction
     if not (0 <= m <= n):
         raise RangeError("requires 0 <= m <= n")
     if not (0 <= l <= min(m, n - m)):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Optional
 
 from .errors import SchemaError
 
@@ -67,7 +66,7 @@ def _polyline(pts, to_px, stroke, trace_id):
 
 
 def render_svg(traj_csv: str, out_path: str,
-               overlay_csv: Optional[str] = None) -> None:
+               overlay_csv: str | None = None) -> None:
     """Render the g_inv columns of one or two trajectory CSVs as polylines."""
     traces = [_read_points(traj_csv)]
     if overlay_csv is not None:

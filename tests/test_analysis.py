@@ -144,6 +144,21 @@ class TestClosureIntegral:
         with pytest.raises(PoleError):
             analysis.closure_integral([1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("vals, want", [
+        ([1e300, 1e-300, 1.0], math.log(1e-300)),   # a ratio underflows to 0
+        ([1e-300, 1e300, 1.0], math.log(1e300)),    # a ratio overflows
+        ([1e300j, -1e-300, -1e300j, 1e-300, 1e300j], 2j * math.pi),
+    ], ids=["underflow", "overflow", "quarter_turns"])
+    def test_ratio_outside_the_double_range(self, vals, want):
+        # such an increment is log b - log a with its angle in (-pi, pi]
+        out = analysis.closure_integral(vals)
+        assert abs(out - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_value_raises(self, bad):
+        with pytest.raises(DomainError):
+            analysis.closure_integral([1.0, bad, 1.0])
+
 
 class TestSpiralInvariantFit:
     def test_exact_model(self):

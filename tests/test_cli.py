@@ -540,6 +540,45 @@ print("ok")
     assert proc.stdout == "ok\n"
 
 
+_COLD_RUNS = {
+    "eval": (["eval", "--fn", "2f1", "--a", "0.3", "--b", "0.7", "--c", "1.9",
+              "--z_re", "0.5", "--out", "h.json"],
+             ("cflow.rgflow", "cflow.integrate", "cflow.svg", "csv")),
+    "oscillator": (["oscillator", "--N", "1", "--gamma", "0.5", "--E_re", "1.0",
+                    "--out", "c.csv"], ()),
+    "flow": (["flow", "--variant", "n-power", "--N", "2", "--n_points", "9",
+              "--out", "np.csv"], ("json", "csv")),
+    "cycle": (["cycle", "--input", "circ.csv", "--out", "cyc.json"], ()),
+    "phase": (["phase", "--N_list", "2,3,4", "--gamma", "0.5", "--out", "ph.csv"], ()),
+    "wetterich": (["wetterich", "--mode", "real_osc", "--omega", "1.0",
+                   "--Lambda", "1000", "--out", "w.json"], ()),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_COLD_RUNS))
+def test_cold_subcommand_imports_only_what_it_runs(tmp_path, sub):
+    # a cold cflow process pays for every module it imports; none needs
+    # dataclasses (which loads inspect) or fractions (which loads decimal).
+    # bethe is left out: numpy imports inspect
+    argv, absent = _COLD_RUNS[sub]
+    rows = ["s,Re tau,Im tau,Re g_inv,Im g_inv,Re gamma,Im gamma,invariant"]
+    rows += [f"{k},0.0,0.0,{math.cos(k / 10)},{math.sin(k / 10)},0.0,0.0,nan"
+             for k in range(64)]
+    (tmp_path / "circ.csv").write_text("\n".join(rows) + "\n")
+    script = f"""
+import sys
+import cflow.cli
+assert cflow.cli.main({argv!r}) == 0
+absent = ("dataclasses", "inspect", "fractions", "decimal") + {absent!r}
+print(sorted(m for m in absent if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n", proc.stdout
+
+
 def test_integrator_runs_without_numpy(tmp_path):
     # the path integrator and its tuple state need no numpy (the cold
     # flow path depends on it)

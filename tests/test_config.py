@@ -1,7 +1,7 @@
 """Tests for configuration parsing, validation, and the canonical echo."""
 import pytest
 
-from cflow.config import (RunConfig, canonical_echo, echo_path, parse_config)
+from cflow.config import canonical_echo, echo_path, parse_config
 from cflow.errors import ParseError, ValidationError
 
 
@@ -115,8 +115,3 @@ class TestCanonicalEcho:
     def test_echo_path_sits_beside_output(self):
         assert echo_path("runs/traj.csv") == "runs/traj.config"
         assert echo_path("out.json") == "out.config"
-
-    def test_config_is_frozen(self):
-        cfg = RunConfig("flow", {}, "x.csv")
-        with pytest.raises(Exception):
-            cfg.out_path = "y.csv"
