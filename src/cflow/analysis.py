@@ -323,20 +323,25 @@ def phase_diagram_scan(N_values: Sequence[float], gamma: float, E0: float,
             scale, divergent = math.inf, True
         raw.append((N, scale, divergent))
 
-    int_pts = [(N, s) for N, s, dv in raw
-               if not dv and s > 0 and abs(N - round(N)) < 1e-9]
-    exponent = None
-    if len(int_pts) >= 3:
-        exponent, _, _ = power_law_fit([p[0] for p in int_pts],
-                                       [p[1] for p in int_pts])
-    out = []
-    for N, s, dv in raw:
-        is_int = abs(N - round(N)) < 1e-9
-        out.append(PhasePoint(N=N, scale=s,
-                              exponent_fit=(exponent if is_int and not dv
-                                            else None),
-                              divergent=dv))
-    return out
+    exponent = _integer_power_fit(raw)[0]
+    return [PhasePoint(N=N, scale=s,
+                       exponent_fit=exponent if _is_integer(N) and not dv else None,
+                       divergent=dv)
+            for N, s, dv in raw]
+
+
+def _is_integer(N: float) -> bool:
+    return abs(N - round(N)) < 1e-9
+
+
+def _integer_power_fit(points) -> tuple:
+    """(exponent, r^2, count): the power-law fit of scale against N over the count
+    integer-N, non-divergent, positive-scale (N, scale, divergent) triples; None, None below 3."""
+    pts = [(N, s) for N, s, dv in points if not dv and s > 0 and _is_integer(N)]
+    if len(pts) < 3:
+        return None, None, len(pts)
+    exponent, _, r2 = power_law_fit([p[0] for p in pts], [p[1] for p in pts])
+    return exponent, r2, len(pts)
 
 
 def power_law_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple:

@@ -3,7 +3,9 @@
 Usage: ``cflow <subcommand> [--config FILE] [--key value ...] [--out PATH]
 [--svg PATH]``.  Flags override config-file values.  Every run
 writes its outputs plus a canonical config echo beside them, so a run can
-be reproduced byte-for-byte from the echo alone.
+be reproduced byte-for-byte from the echo alone; a run whose files would
+share a path writes none.  `config` types each key and supplies the
+defaults of the keys not given, so the runners read typed values.
 
 Exit codes: 0 success; 1 configuration or domain error; 2 the integration
 diverged or failed to converge (partial results are still written, with a
@@ -17,7 +19,7 @@ import sys
 
 from . import specfun
 from .config import (RunConfig, SUBCOMMANDS, canonical_echo, echo_path,
-                     parse_config)
+                     parse_config, with_defaults)
 from .errors import (CflowError, FlowStopped, NoConvergence, Overflow,
                      ParseError, ValidationError)
 
@@ -86,16 +88,15 @@ def _linspace(start: float, stop: float, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners; each returns (exit_code, lines_or_payload)
+# subcommand runners: each takes the params with defaults and the output
+# path, writes the outputs and returns the exit code
 # ---------------------------------------------------------------------------
 
-def _run_eval(cfg: RunConfig) -> int:
-    p = cfg.params
+def _run_eval(p: dict, out: str) -> int:
     (fn,) = _need(p, "fn")
-    z = complex(p.get("z_re", 0.0), p.get("z_im", 0.0))
+    z = complex(p["z_re"], p["z_im"])
     if fn == "gamma_u":
-        s = complex(p.get("s_re", 0.0), p.get("s_im", 0.0))
-        val = specfun.upper_incomplete_gamma(s, z)
+        val = specfun.upper_incomplete_gamma(complex(p["s_re"], p["s_im"]), z)
     elif fn == "2f1":
         a, b, c = _need(p, "a", "b", "c")
         val = specfun.hyp2f1(a, b, c, z)
@@ -113,48 +114,43 @@ def _run_eval(cfg: RunConfig) -> int:
     else:  # kelvin_bei
         (nu,) = _need(p, "nu")
         val = complex(specfun.kelvin_bei(nu, z.real))
-    _write_json(cfg.out_path, {"fn": fn, "value": _cnum(val)})
+    _write_json(out, {"fn": fn, "value": _cnum(val)})
     return 0
 
 
-def _run_oscillator(cfg: RunConfig) -> int:
+def _run_oscillator(p: dict, out: str) -> int:
     from . import oscillator
-    p = cfg.params
     N, gamma = _need(p, "N", "gamma")
-    E = complex(p.get("E_re", 0.0), p.get("E_im", 0.0))
-    n_max = int(p.get("n_max", 20))
+    E = complex(p["E_re"], p["E_im"])
     sol = oscillator.frobenius_coeffs(oscillator.OscParams(N, gamma, E),
-                                      n_max=n_max)
+                                      n_max=p["n_max"])
     lines = ["n,Re c,Im c"]
     for n, c in enumerate(sol.coeffs):
         c = complex(c)
         lines.append(f"{n},{_fmt(c.real)},{_fmt(c.imag)}")
-    _write_text(cfg.out_path, "\n".join(lines) + "\n")
+    _write_text(out, "\n".join(lines) + "\n")
     return 0
 
 
-def _run_bethe(cfg: RunConfig) -> int:
+def _run_bethe(p: dict, out: str) -> int:
     from . import bethe
-    p = cfg.params
     n, N = _need(p, "n", "N")
-    out = bethe.solve_bethe_roots(n, N, tol=p.get("tol", 1e-12))
-    _write_json(cfg.out_path, {
+    roots = bethe.solve_bethe_roots(n, N, tol=p["tol"])
+    _write_json(out, {
         "n": n, "N": N,
-        "roots": [_cnum(r) for r in out.roots],
-        "residual": out.residual,
+        "roots": [_cnum(r) for r in roots.roots],
+        "residual": roots.residual,
     })
     return 0
 
 
 def _flow_rows_recursion(p: dict):
     from . import rgflow
-    state = rgflow.FlowState(0.0, complex(p.get("ginv0", 1.0)),
-                             complex(p.get("gamma0", 0.5)))
-    steps = int(p.get("steps", 20))
-    step = float(p.get("step", 1.0))
+    state = rgflow.FlowState(0.0, complex(p["ginv0"]), complex(p["gamma0"]))
+    step = p["step"]
     rows = [(0.0, state.tau, state.g_inv, state.gamma, math.nan)]
     arc = 0.0
-    for _ in range(steps):
+    for _ in range(p["steps"]):
         try:
             state = rgflow.tau_step_recursion(state, step=step)
         except (NoConvergence, Overflow) as exc:
@@ -169,32 +165,24 @@ def _flow_rows_recursion(p: dict):
 
 def _flow_rows_one_loop(p: dict, variant: str):
     from . import rgflow
-    n_points = int(p.get("n_points", 64))
-    g0 = float(p.get("gamma_start", 0.05))
-    g1 = float(p.get("gamma_end", 0.5))
-    grid = _linspace(g0, g1, n_points)
-    traj, invariants = rgflow.one_loop_invariant_flow(
-        variant, grid, float(p.get("C", 1.0)))
+    grid = _linspace(p["gamma_start"], p["gamma_end"], p["n_points"])
+    traj, invariants = rgflow.one_loop_invariant_flow(variant, grid, p["C"])
     return [(g - grid[0], tau, g_inv, gamma, inv) for g, tau, g_inv, gamma, inv
             in zip(grid, traj.taus, traj.g_inv, traj.gamma, invariants)], None
 
 
 def _flow_rows_contour(p: dict, variant: str):
     from . import rgflow
-    contour = rgflow.ray_contour(float(p.get("angle", 0.0)),
-                                 float(p.get("s_max", 1.0)),
-                                 int(p.get("n_points", 64)))
-    init = rgflow.FlowState(contour[0], complex(p.get("ginv0", 1.0)),
-                            complex(p.get("gamma0", 0.5)))
-    N = int(p.get("N", 1))
+    contour = rgflow.ray_contour(p["angle"], p["s_max"], p["n_points"])
+    init = rgflow.FlowState(contour[0], complex(p["ginv0"]), complex(p["gamma0"]))
     arcs = [0.0]
     for ta, tb in zip(contour, contour[1:]):
         arcs.append(arcs[-1] + abs(tb - ta))
     try:
         if variant == "n-power":
-            traj = rgflow.n_power_flow(init, N, contour)
+            traj = rgflow.n_power_flow(init, p["N"], contour)
         else:
-            traj = rgflow.lr_flow(init, N, float(p.get("nu", 1.0)), contour)
+            traj = rgflow.lr_flow(init, p["N"], p["nu"], contour)
     except FlowStopped as exc:
         # keep every completed node, then mark where the flow stopped
         rows = [(arcs[k], contour[k], y[0], y[1], math.nan)
@@ -210,20 +198,15 @@ def _flow_rows_contour(p: dict, variant: str):
 
 def _flow_rows_cf(p: dict):
     from . import rgflow
-    sites = int(p.get("sites", 8))
-    tau_max = float(p.get("tau_max", 2.0))
-    taus = _linspace(0.0, tau_max, sites)
-    g0 = [complex(p.get("ginv0", 1.0))] * sites
-    vals = rgflow.continued_fraction_rg(g0, taus, int(p.get("depth", 2)))
-    rows = []
-    for i, (t, v) in enumerate(zip(taus, vals)):
-        rows.append((float(i), complex(t), complex(v),
-                     complex(math.nan, math.nan), math.nan))
-    return rows, None
+    sites = p["sites"]
+    taus = _linspace(0.0, p["tau_max"], sites)
+    g0 = [complex(p["ginv0"])] * sites
+    vals = rgflow.continued_fraction_rg(g0, taus, p["depth"])
+    return [(float(i), complex(t), complex(v), complex(math.nan, math.nan), math.nan)
+            for i, (t, v) in enumerate(zip(taus, vals))], None
 
 
-def _run_flow(cfg: RunConfig) -> int:
-    p = cfg.params
+def _run_flow(p: dict, out: str) -> int:
     (variant,) = _need(p, "variant")
     # each builder returns its rows and, for a flow that stopped early, the
     # exception; the last row is then the divergence marker at tau*
@@ -241,20 +224,19 @@ def _run_flow(cfg: RunConfig) -> int:
     for s, tau, g_inv, gamma, inv in rows:
         lines.append(_csv_row(s, complex(tau), complex(g_inv),
                               complex(gamma), inv))
-    _write_text(cfg.out_path, "\n".join(lines) + "\n")
+    _write_text(out, "\n".join(lines) + "\n")
     if stop is None:
         return 0
     sys.stderr.write(f"cflow: diverged at tau* = {complex(rows[-1][1])}: {stop}\n")
     return 2
 
 
-def _run_cycle(cfg: RunConfig) -> int:
+def _run_cycle(p: dict, out: str) -> int:
     from . import analysis, svg
-    p = cfg.params
     (path,) = _need(p, "input")
     pts = [complex(x, y) for x, y in svg._read_points(path)]
-    report = analysis.detect_limit_cycle(pts, tol=p.get("tol", 1e-3))
-    _write_json(cfg.out_path, {
+    report = analysis.detect_limit_cycle(pts, tol=p["tol"])
+    _write_json(out, {
         "closed": report.closed,
         "winding": report.winding,
         "period_estimate": report.period_estimate,
@@ -265,46 +247,36 @@ def _run_cycle(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_phase(cfg: RunConfig) -> int:
+def _fit_path(out: str) -> str:
+    return os.path.splitext(out)[0] + "_fit.json"
+
+
+def _run_phase(p: dict, out: str) -> int:
     from . import analysis
-    p = cfg.params
     (N_list,) = _need(p, "N_list")
-    gamma = float(p.get("gamma", 0.5))
-    E0 = float(p.get("E0", 1.0))
-    k = complex(p.get("k_re", 1.0), p.get("k_im", 0.0))
-    nu = float(p.get("nu", 1.0))
-    n_max = int(p.get("n_max", 256))
-
-    points = analysis.phase_diagram_scan(N_list, gamma, E0, k, nu, n_max)
-
-    int_pts = [(pt.N, pt.scale) for pt in points
-               if not pt.divergent and pt.scale > 0
-               and abs(pt.N - round(pt.N)) < 1e-9]
-    exponent = r2 = None
-    if len(int_pts) >= 3:
-        exponent, _, r2 = analysis.power_law_fit([q[0] for q in int_pts],
-                                                 [q[1] for q in int_pts])
+    points = analysis.phase_diagram_scan(
+        N_list, p["gamma"], p["E0"], complex(p["k_re"], p["k_im"]), p["nu"],
+        p["n_max"])
+    exponent, r2, n_fit = analysis._integer_power_fit(
+        [(pt.N, pt.scale, pt.divergent) for pt in points])
     lines = ["N,scale,exponent_fit,divergent"]
     for pt in points:
         efit = _fmt(pt.exponent_fit) if pt.exponent_fit is not None else ""
         lines.append(f"{_fmt(pt.N)},{_fmt(pt.scale)},{efit},"
                      f"{int(pt.divergent)}")
-    _write_text(cfg.out_path, "\n".join(lines) + "\n")
-    fit_path = os.path.splitext(cfg.out_path)[0] + "_fit.json"
-    _write_json(fit_path, {"exponent": exponent, "r_squared": r2,
-                           "points_fit": len(int_pts)})
+    _write_text(out, "\n".join(lines) + "\n")
+    _write_json(_fit_path(out), {"exponent": exponent, "r_squared": r2,
+                                 "points_fit": n_fit})
     return 0
 
 
-def _run_wetterich(cfg: RunConfig) -> int:
+def _run_wetterich(p: dict, out: str) -> int:
     from . import rgflow
-    p = cfg.params
     mode, omega, Lam = _need(p, "mode", "omega", "Lambda")
     params = rgflow.WetterichParams(omega=omega, Lambda=Lam,
-                                    gamma=p.get("gamma", 0.0),
-                                    delta=p.get("delta", 0.0))
+                                    gamma=p["gamma"], delta=p["delta"])
     val = rgflow.wetterich_ground_energy(params, mode)
-    _write_json(cfg.out_path, {"mode": mode, "energy": _cnum(val)})
+    _write_json(out, {"mode": mode, "energy": _cnum(val)})
     return 0
 
 
@@ -316,12 +288,21 @@ _RUNNERS = {
 
 
 def run(config: RunConfig, svg_path: str | None = None) -> int:
-    """Execute a validated configuration; writes outputs and the echo."""
-    _write_text(echo_path(config.out_path), canonical_echo(config))
-    code = _RUNNERS[config.subcommand](config)
+    """Execute a validated configuration; writes outputs and the echo, once
+    no two of those files share a path (ValidationError)."""
+    out = config.out_path
+    paths = {"output": out, "echo": echo_path(out), "svg": svg_path,
+             "fit": _fit_path(out) if config.subcommand == "phase" else None}
+    seen = {}
+    for role, path in paths.items():
+        if path is not None and seen.setdefault(os.path.abspath(path), role) != role:
+            raise ValidationError(f"the {seen[os.path.abspath(path)]} and the {role} "
+                                  f"would both be written to {path!r}", key="out")
+    _write_text(paths["echo"], canonical_echo(config))
+    code = _RUNNERS[config.subcommand](with_defaults(config), out)
     if svg_path is not None:
         from . import svg
-        svg.render_svg(config.out_path, svg_path)
+        svg.render_svg(out, svg_path)
     return code
 
 

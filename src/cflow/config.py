@@ -3,8 +3,9 @@ validation, and a deterministic canonical echo for reproducible runs.
 
 Config files hold one ``key = value`` pair per line; ``#`` starts a comment
 and lists are comma-separated.  Flags override file values.  Every key must
-belong to the schema of the selected subcommand, and every numeric value
-must be finite.
+belong to the schema of the selected subcommand, ``_SCHEMAS``, which alone
+holds each key's type and default; every numeric value must be finite.  A
+`RunConfig` and its echo hold the keys given, and `with_defaults` the rest.
 """
 from __future__ import annotations
 
@@ -13,57 +14,57 @@ import os
 
 from .errors import ParseError, ValidationError, _Record
 
-SUBCOMMANDS = ("eval", "oscillator", "bethe", "flow", "cycle", "phase",
-               "wetterich")
-
 FLOW_VARIANTS = ("tau-recursion", "one-loop-v1", "one-loop-v2", "n-power",
                  "lr", "cf-rg")
 
-# key -> (type tag, optional choice tuple); type tags: int, float, str,
-# floats (comma list)
+# subcommand -> key -> (type tag, choices or default); type tags: choice,
+# int, float, str, floats (comma list).  A choice key holds its choices and
+# must be given; any other key holds its default, or None when it must be given
 _SCHEMAS = {
     "eval": {
         "fn": ("choice", ("gamma_u", "2f1", "1f1", "bessel_j", "bessel_y",
                           "bessel_i", "bessel_k", "erfi", "kelvin_bei")),
         "a": ("float", None), "b": ("float", None), "c": ("float", None),
         "nu": ("float", None),
-        "s_re": ("float", None), "s_im": ("float", None),
-        "z_re": ("float", None), "z_im": ("float", None),
+        "s_re": ("float", 0.0), "s_im": ("float", 0.0),
+        "z_re": ("float", 0.0), "z_im": ("float", 0.0),
     },
     "oscillator": {
         "N": ("int", None), "gamma": ("float", None),
-        "E_re": ("float", None), "E_im": ("float", None),
-        "n_max": ("int", None),
+        "E_re": ("float", 0.0), "E_im": ("float", 0.0),
+        "n_max": ("int", 20),
     },
     "bethe": {
-        "n": ("int", None), "N": ("int", None), "tol": ("float", None),
+        "n": ("int", None), "N": ("int", None), "tol": ("float", 1e-12),
     },
     "flow": {
         "variant": ("choice", FLOW_VARIANTS),
-        "N": ("int", None), "gamma0": ("float", None),
-        "ginv0": ("float", None), "nu": ("float", None),
-        "C": ("float", None), "angle": ("float", None),
-        "s_max": ("float", None), "n_points": ("int", None),
-        "steps": ("int", None), "step": ("float", None),
-        "depth": ("int", None), "sites": ("int", None),
-        "tau_max": ("float", None),
-        "gamma_start": ("float", None), "gamma_end": ("float", None),
+        "N": ("int", 1), "gamma0": ("float", 0.5),
+        "ginv0": ("float", 1.0), "nu": ("float", 1.0),
+        "C": ("float", 1.0), "angle": ("float", 0.0),
+        "s_max": ("float", 1.0), "n_points": ("int", 64),
+        "steps": ("int", 20), "step": ("float", 1.0),
+        "depth": ("int", 2), "sites": ("int", 8),
+        "tau_max": ("float", 2.0),
+        "gamma_start": ("float", 0.05), "gamma_end": ("float", 0.5),
     },
     "cycle": {
-        "input": ("str", None), "tol": ("float", None),
+        "input": ("str", None), "tol": ("float", 1e-3),
     },
     "phase": {
-        "N_list": ("floats", None), "gamma": ("float", None),
-        "E0": ("float", None), "k_re": ("float", None),
-        "k_im": ("float", None), "nu": ("float", None),
-        "n_max": ("int", None),
+        "N_list": ("floats", None), "gamma": ("float", 0.5),
+        "E0": ("float", 1.0), "k_re": ("float", 1.0),
+        "k_im": ("float", 0.0), "nu": ("float", 1.0),
+        "n_max": ("int", 256),
     },
     "wetterich": {
         "mode": ("choice", ("real_osc", "perturbed", "complex_osc")),
         "omega": ("float", None), "Lambda": ("float", None),
-        "gamma": ("float", None), "delta": ("float", None),
+        "gamma": ("float", 0.0), "delta": ("float", 0.0),
     },
 }
+
+SUBCOMMANDS = tuple(_SCHEMAS)
 
 # keys that must be non-negative when present
 _NONNEGATIVE = {"N", "n", "gamma", "delta", "n_max", "depth"}
@@ -81,14 +82,13 @@ _DEFAULT_OUT = {
 
 class RunConfig(_Record):
     __slots__ = ("subcommand", "params", "out_path")
-    _defaults = {"params": dict, "out_path": ""}
 
 
 def _convert(sub: str, key: str, raw: str):
     schema = _SCHEMAS[sub]
     if key not in schema:
         raise ValidationError(f"unknown key {key!r} for {sub}", key=key)
-    tag, choices = schema[key]
+    tag, choices = schema[key]  # choices only for a choice key
     raw = raw.strip()
     try:
         if tag == "int":
@@ -167,6 +167,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     params = {k: _convert(sub, k, v) for k, v in raw.items()}
     return RunConfig(subcommand=sub, params=dict(sorted(params.items())),
                      out_path=out_path)
+
+
+def with_defaults(config: RunConfig) -> dict:
+    """The config's params laid over its subcommand's defaults."""
+    schema = _SCHEMAS[config.subcommand]
+    defaults = {k: d for k, (tag, d) in schema.items() if tag != "choice" and d is not None}
+    return {**defaults, **config.params}
 
 
 def canonical_echo(config: RunConfig) -> str:

@@ -39,14 +39,14 @@ def _finite(value, what):
 
 class _Record:
     """Frozen record, as a frozen dataclass: fields in ``__slots__``, validation in ``_check``,
-    trailing defaults in ``_defaults`` (a class there, e.g. ``dict``, is called per instance)."""
+    trailing defaults in ``_defaults``, each shared by every instance (so immutable)."""
 
     __slots__ = ()
     _defaults = {}
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        fields = {n: d() if isinstance(d, type) else d for n, d in self._defaults.items()}
+        fields = dict(self._defaults)
         fields.update(**dict(zip(names, args)), **kwargs)  # a name given twice raises TypeError
         if len(args) > len(names) or fields.keys() != set(names):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")

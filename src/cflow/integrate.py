@@ -381,9 +381,9 @@ def solve_rk4(f, nodes, y0, events=()):
     complex numbers; f returns the same shape (a complex number, or a
     sequence).  Other lengths raise DimensionMismatch.  Real nodes keep t
     real; complex nodes give complex t.  Returns y at every node: complex
-    numbers for a scalar y0, tuples otherwise.  A node that is not finite
-    raises DomainError before the first step; a distance along a run that
-    overflows raises it where the walk reaches it.
+    numbers for a scalar y0, tuples otherwise.  No nodes, or a node that is
+    not finite, raises DomainError before the first step; a distance along a
+    run that overflows raises it where the walk reaches it.
 
     The nodes are read lazily, run by run, as far as the steps reach (module
     docstring): a call that an event stops reads few nodes beyond the stop.
@@ -400,6 +400,8 @@ def solve_rk4(f, nodes, y0, events=()):
     and StepSizeUnderflow carry the t where the integration stopped
     (``tau_star``) and y at every node before it (``samples``).
     """
+    if not len(nodes):
+        raise DomainError("solve_rk4 needs at least one node")
     # the sum is finite only when every node is; it overflows for some that are
     if not cmath.isfinite(sum(nodes)) and not all(map(cmath.isfinite, nodes)):
         raise DomainError("solve_rk4 needs finite nodes")

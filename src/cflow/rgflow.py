@@ -143,6 +143,8 @@ def one_loop_invariant_flow(variant: str, gamma_grid, C: float,
     Returns (trajectory, invariants) with one invariant value per sample.
     """
     gammas = [float(g) for g in gamma_grid]
+    if not gammas:
+        raise DomainError("gamma_grid needs at least one point")
     if any(g <= 0 for g in gammas) or any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise DomainError("gamma_grid must be positive and increasing")
     g_invs, invariants = [], []

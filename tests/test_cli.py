@@ -244,6 +244,20 @@ class TestConfigFileAndErrors:
         assert err.startswith("cflow: ") and err.count("\n") == 1
         assert not (in_tmp / "nodir").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--variant", "n-power", "--out", "traj.config"],
+        ["flow", "--variant", "n-power", "--out", "a.csv", "--svg", "a.csv"],
+        ["flow", "--variant", "n-power", "--out", "b.csv", "--svg", "b.config"],
+        ["flow", "--variant", "n-power", "--out", "c.csv", "--svg", "./c.csv"],
+        ["phase", "--N_list", "2,3,4", "--out", "p.csv", "--svg", "p_fit.json"],
+    ], ids=["out_is_echo", "svg_is_out", "svg_is_echo", "svg_is_out_by_another_name",
+            "svg_is_phase_fit"])
+    def test_files_sharing_a_path_exit_1_before_writing(self, in_tmp, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflow: ") and err.count("\n") == 1
+        assert os.listdir(in_tmp) == []
+
     def test_non_finite_value_exits_1_without_json(self, in_tmp, capsys):
         assert main(["eval", "--fn", "1f1", "--a", "1", "--b", "2",
                      "--z_re", "800", "--out", "e.json"]) == 1
@@ -606,11 +620,10 @@ print("ok")
 # upper bounds of the integer keys whose size sets the run time
 _FUZZ_INT_MAX = {"n": 4, "N": 4, "n_points": 64, "n_max": 40, "steps": 64,
                  "depth": 6, "sites": 64}
-_FUZZ_REQUIRED = {"eval": ("fn", "nu", "a", "b", "c"),
-                  "oscillator": ("N", "gamma"), "bethe": ("n", "N"),
-                  "flow": ("variant",), "cycle": ("input",),
-                  "phase": ("N_list",),
-                  "wetterich": ("mode", "omega", "Lambda")}
+# a choice key and a key with no default must be given
+_FUZZ_REQUIRED = {sub: {k for k, (tag, default) in schema.items()
+                        if tag == "choice" or default is None}
+                  for sub, schema in config._SCHEMAS.items()}
 
 
 def _fuzz_float(key):
@@ -622,7 +635,7 @@ def _fuzz_float(key):
 
 
 def _fuzz_value(key, tag, choices):
-    """Flag text for one key of a schema."""
+    """Flag text for one key of a schema; `choices` is read for a choice key."""
     if tag == "choice":
         return st.sampled_from(choices)
     if tag == "int":
@@ -711,3 +724,53 @@ def test_cli_contract_fuzz(run, tmp_path, time_limit):
             _strict_json(out)
         elif argv[0] == "phase":
             _strict_json(os.path.splitext(out)[0] + "_fit.json")
+
+
+# a run of each subcommand given exactly its required keys
+_REQUIRED_RUNS = [
+    ("eval", {"fn": "bessel_j", "nu": "0.5", "a": "0.5", "b": "0.25",
+              "c": "1.5"}),
+    ("oscillator", {"N": "2", "gamma": "0.5"}),
+    ("bethe", {"n": "2", "N": "1"}),
+    *[("flow", {"variant": v}) for v in config.FLOW_VARIANTS],
+    ("cycle", {"input": "points.csv"}),
+    ("phase", {"N_list": "1,2,3,4,2.5"}),
+    ("wetterich", {"mode": "perturbed", "omega": "1.0", "Lambda": "1000.0"}),
+]
+
+
+@pytest.mark.parametrize("sub, given", _REQUIRED_RUNS,
+                         ids=[f"{sub}-{next(iter(given.values()))}"
+                              for sub, given in _REQUIRED_RUNS])
+def test_unset_key_runs_as_its_schema_default(in_tmp, sub, given):
+    assert given.keys() == _FUZZ_REQUIRED[sub]
+    defaults = {k: d for k, (tag, d) in config._SCHEMAS[sub].items()
+                if k not in given}
+    spelled = {k: repr(d) if isinstance(d, float) else str(d)
+               for k, d in defaults.items()}
+    for key, text in spelled.items():  # each default is a valid value
+        value = config._convert(sub, key, text)
+        assert value == defaults[key] and type(value) is type(defaults[key])
+    rows = [f"{k},0.0,0.0,{math.cos(k / 10)!r},{math.sin(k / 10)!r},0.0,0.0,nan"
+            for k in range(64)]
+    (in_tmp / "points.csv").write_text("\n".join([",".join(FLOW_HEADER)] + rows) + "\n")
+
+    outputs, codes = [], []
+    for run, keys in (("given", given), ("spelled", {**given, **spelled})):
+        (in_tmp / run).mkdir()
+        out = os.path.join(run, config._DEFAULT_OUT[sub])
+        flags = [a for k, v in keys.items() for a in (f"--{k}", v)]
+        codes.append(main([sub] + flags + ["--out", out]))
+        outputs.append({name: (in_tmp / run / name).read_bytes()
+                        for name in sorted(os.listdir(in_tmp / run))
+                        if not name.endswith(".config")})
+    assert codes[0] == codes[1] and outputs[0] == outputs[1]
+    if given == {"variant": "tau-recursion"}:
+        # g_inv0 = 1 with gamma0 = 0.5 is an exceptional point of its first step
+        assert codes[0] == 1
+    else:
+        assert outputs[0]
+    # the echo lists only the keys given
+    echo = in_tmp / "given" / config.echo_path(config._DEFAULT_OUT[sub])
+    keys = [ln.split(" = ")[0] for ln in echo.read_text().splitlines()[2:]]
+    assert keys == sorted(given)

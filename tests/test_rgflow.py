@@ -121,6 +121,10 @@ class TestOneLoopInvariantFlow:
         with pytest.raises(DomainError):
             rg.one_loop_invariant_flow("separated_v1", [0.5, 0.4], 0.0)
 
+    def test_v1_empty_grid_raises(self):
+        with pytest.raises(DomainError, match="at least one point"):
+            rg.one_loop_invariant_flow("separated_v1", [], 1.0)
+
 
 class TestTrajectory:
     @pytest.mark.parametrize("column", [0, 1, 2])
@@ -492,6 +496,12 @@ class TestPathIntegrator:
             solve_rk4(lambda t, y: y, [0.0, 0.5, bad], 1.0)
         with pytest.raises(DomainError):
             rg.n_power_flow(rg.FlowState(0.0, 1.0, 0.5), 2, [0.0, bad, 1.0])
+
+    @pytest.mark.parametrize("y0", [1.0, [1.0], [1.0, 2.0]])
+    def test_no_nodes_raises(self, y0):
+        # no node has a value to return
+        with pytest.raises(DomainError):
+            solve_rk4(lambda t, y: y, [], y0)
 
     def test_finite_nodes_whose_sum_overflows_integrate(self):
         # the up-front sum is inf, so every node is tested on its own
