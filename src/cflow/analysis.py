@@ -16,7 +16,7 @@ from itertools import accumulate
 
 from . import specfun as sf
 from .errors import (DegenerateTrajectory, DimensionMismatch, DomainError,
-                     FlowStopped, PoleError, _finite, _Record)
+                     FlowStopped, PoleError, _all_finite, _finite, _Record)
 from .integrate import solve_rk4
 from .rgflow import lr_beta_closed_form
 
@@ -26,12 +26,10 @@ _WINDING_TOL = 1e-3
 class CycleReport(_Record):
     __slots__ = ("closed", "winding", "period_estimate", "min_return_distance",
                  "spiral_c", "spiral_residual")  # period: samples to the nearest return
-    _defaults = {"spiral_c": None, "spiral_residual": None}
 
 
 class PhasePoint(_Record):
     __slots__ = ("N", "scale", "exponent_fit", "divergent")  # power N may be fractional
-    _defaults = {"exponent_fit": None, "divergent": False}
 
 
 def _aitken_focus(pts: list) -> complex:
@@ -44,7 +42,7 @@ def _aitken_focus(pts: list) -> complex:
     scale = 1e-12 * max(map(abs, pts))
     f = [(a * c - b * b) / den for a, b, c in zip(pts, pts[1:], pts[2:])
          if abs(den := a - 2 * b + c) > scale]
-    if not f or not all(map(cmath.isfinite, f)):
+    if not f or not _all_finite(f):
         raise DegenerateTrajectory("no curvature information for a focus estimate")
     re, im = sorted(v.real for v in f), sorted(v.imag for v in f)
     lo, hi = (len(f) - 1) // 2, len(f) // 2
@@ -63,7 +61,7 @@ def detect_limit_cycle(traj: Sequence[complex], tol: float = 1e-3) -> CycleRepor
     coordinates overflow.
     """
     pts = [complex(z) for z in traj]
-    if len(pts) < 8 or not all(map(cmath.isfinite, pts)):
+    if len(pts) < 8 or not _all_finite(pts):
         raise DomainError("trajectory needs at least 8 samples, all finite")
     try:
         d0 = [abs(z - pts[0]) for z in pts]
@@ -114,7 +112,7 @@ def closure_integral(values: Sequence[complex]) -> complex:
     range adds log b - log a, angle wrapped into (-pi, pi]; non-finite V raises DomainError.
     """
     vals = [complex(v) for v in values]
-    if not all(map(cmath.isfinite, vals)):
+    if not _all_finite(vals):
         raise DomainError("closure integral needs finite values")
     if 0 in vals:
         raise PoleError("log V undefined where V vanishes")

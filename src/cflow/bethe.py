@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from . import specfun as sf
-from .errors import (CollisionError, DomainError, NoConvergence, PoleError,
-                     SingularFlow, _finite, _Record)
+from .errors import CollisionError, DomainError, NonConvergence, PoleError, _finite, _Record
 from .integrate import solve_rk4
 from .rgflow import Trajectory
 
@@ -105,7 +104,7 @@ def _homotopy(x0, N, tol):
             if found is None:
                 dt /= 2
                 if dt < 1e-7:
-                    raise NoConvergence("homotopy stalled before full interaction")
+                    raise NonConvergence("homotopy stalled before full interaction")
             else:
                 (x, worst), lam, t = found, trial, min(1.0, t + dt)
                 dt = min(dt * 1.5, 0.25)
@@ -118,7 +117,7 @@ def solve_bethe_roots(n: int, N: int, tol: float = 1e-12) -> BetheRoots:
     The Hermite zeros of degree n scaled by 1/sqrt(2) solve the system at
     zero interaction; `_homotopy` carries them to full interaction.  The
     reported residual is the max fixed-point defect there, as measured by
-    the homotopy's last Newton call, at lam = 1.  Raises `NoConvergence`
+    the homotopy's last Newton call, at lam = 1.  Raises `NonConvergence`
     when the continuation stalls and `CollisionError` when two roots meet
     on the way.
     """
@@ -150,7 +149,7 @@ def symmetric_pair_root(N: int, tol: float = 1e-14) -> float:
             return x
         df = 1.0 + 0.25 / (x * x) - sign * 4.0 * N * (2.0 * x) ** (2 * N - 1)
         x -= f / df
-    raise NoConvergence("scalar reduction did not converge")
+    raise NonConvergence("scalar reduction did not converge")
 
 
 def bethe_wavefunction(x: complex, roots: BetheRoots) -> complex:
@@ -230,6 +229,7 @@ def gp_scaling_flow(q2: float, s_contour, chi0: complex, xi0: complex) -> Trajec
     """Scaling flow d chi/ds = s chi / (1 - s^{2q-1}) along a complex contour,
     with the documented fallback d chi/ds = s chi at 2q = 1; xi flows as
     xi(s) = xi0 e^s.  Left/right membership of a sample is the sign of Re s.
+    Raises PoleError where the flow reaches |1 - s^{2q-1}| < 1e-6, by the pole.
     """
     pts = [complex(s) for s in s_contour]
     if len(pts) < 2:
@@ -242,7 +242,7 @@ def gp_scaling_flow(q2: float, s_contour, chi0: complex, xi0: complex) -> Trajec
             return s
         d = 1.0 - sf.cpow(s, power) if s != 0 else 1.0 + 0.0j
         if abs(d) < 1e-6:
-            raise SingularFlow(f"contour too close to the singular locus at s = {s}")
+            raise PoleError(f"contour too close to the singular locus at s = {s}")
         return s / d
 
     def f(s, y):

@@ -1,15 +1,15 @@
 """Command-line entry point.
 
 Usage: ``cflow <subcommand> [--config FILE] [--key value ...] [--out PATH]
-[--svg PATH]``.  Flags override config-file values.  Every run
-writes its outputs plus a canonical config echo beside them, so a run can
-be reproduced byte-for-byte from the echo alone; a run whose files would
-share a path writes none.  `config` types each key and supplies the
-defaults of the keys not given, so the runners read typed values.
+[--svg PATH]``; only ``flow`` takes ``--svg``.  Flags override config-file
+values.  Every run writes its outputs plus a canonical config echo beside
+them, so a run can be reproduced byte-for-byte from the echo alone; a run
+whose files would share a path writes none.  `config` types each key and
+supplies the defaults of the keys not given, so the runners read typed values.
 
-Exit codes: 0 success; 1 configuration or domain error; 2 the integration
-diverged or failed to converge (partial results are still written, with a
-divergence marker row).
+Exit codes follow from the error's class: 0 success; 2 `FlowStopped` (the
+partial rows are still written, with a divergence marker row) or
+`NonConvergence`; 1 any other error.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import sys
 from . import specfun
 from .config import (RunConfig, SUBCOMMANDS, canonical_echo, echo_path,
                      parse_config, with_defaults)
-from .errors import (CflowError, FlowStopped, NoConvergence, Overflow,
+from .errors import (CflowError, FlowStopped, NonConvergence, Overflow,
                      ParseError, ValidationError)
 
 _CSV_HEADER = ("s,Re tau,Im tau,Re g_inv,Im g_inv,"
@@ -153,7 +153,7 @@ def _flow_rows_recursion(p: dict):
     for _ in range(p["steps"]):
         try:
             state = rgflow.tau_step_recursion(state, step=step)
-        except (NoConvergence, Overflow) as exc:
+        except (NonConvergence, Overflow) as exc:
             rows.append((arc + step, state.tau + step,
                          complex(math.nan, math.nan),
                          complex(math.nan, math.nan), "diverged"))
@@ -289,10 +289,11 @@ _RUNNERS = {
 
 def run(config: RunConfig, svg_path: str | None = None) -> int:
     """Execute a validated configuration; writes outputs and the echo, once
-    no two of those files share a path (ValidationError)."""
-    out = config.out_path
-    paths = {"output": out, "echo": echo_path(out), "svg": svg_path,
-             "fit": _fit_path(out) if config.subcommand == "phase" else None}
+    no two of those files share a path and only a flow has svg_path (ValidationError)."""
+    if svg_path is not None and config.subcommand != "flow":
+        raise ValidationError(f"--svg plots a flow CSV; {config.subcommand} writes none", key="svg")
+    out = config.out_path  # phase's _fit.json shares no path with the output or the echo
+    paths = {"output": out, "echo": echo_path(out), "svg": svg_path}
     seen = {}
     for role, path in paths.items():
         if path is not None and seen.setdefault(os.path.abspath(path), role) != role:
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
         sub, config_file, overrides, svg_path = parsed
         config = parse_config(config_file, overrides, sub)
         return run(config, svg_path)
-    except (NoConvergence, FlowStopped) as exc:
+    except (NonConvergence, FlowStopped) as exc:
         sys.stderr.write(f"cflow: diverged: {exc}\n")
         return 2
     except (CflowError, OSError) as exc:

@@ -1,11 +1,12 @@
-"""Exception hierarchy shared by all numeric modules.
+"""Exception hierarchy shared by all numeric modules: one class per failure.
 
 One rule covers results that leave the double range: a public function
 returns a finite value or raises `Overflow`.  ``_finite(value, what)``
 owns that rule: it hands back a finite value and raises
 ``Overflow("<what> leaves the double range")`` for inf or nan.  Every
-module sends its non-finite-prone results through it rather than testing
-``isfinite`` by hand.  ``_Record`` is the frozen base of every record type.
+module sends its non-finite-prone results through it, and tests a
+sequence with ``_all_finite(values)``, rather than testing ``isfinite``
+by hand.  ``_Record`` is the frozen base of every record type.
 """
 import cmath
 
@@ -15,11 +16,11 @@ class CflowError(Exception):
 
 
 class PoleError(CflowError):
-    """Evaluation requested at a pole of the function."""
+    """Evaluation at, or too near, a pole of a function or of a flow's coefficient."""
 
 
 class NonConvergence(CflowError):
-    """Series or continued fraction failed to converge within the term budget."""
+    """A series, continued fraction, continuation or iterative solver ran out of budget."""
 
 
 class BranchCut(CflowError):
@@ -35,6 +36,11 @@ def _finite(value, what):
     if cmath.isfinite(value):
         return value
     raise Overflow(f"{what} leaves the double range")
+
+
+def _all_finite(values):
+    """Whether every entry of the sequence `values` is finite: their sum is, else each one."""
+    return cmath.isfinite(sum(values)) or all(map(cmath.isfinite, values))
 
 
 class _Record:
@@ -80,11 +86,7 @@ class _Record:
 
 
 class DomainError(CflowError):
-    """Input outside the real domain of the requested operation."""
-
-
-class RangeError(CflowError):
-    """Integer argument outside its allowed range."""
+    """Input outside the domain of the requested operation, integer ranges included."""
 
 
 class SingularSystem(CflowError):
@@ -108,20 +110,8 @@ class StepSizeUnderflow(FlowStopped):
     """Adaptive integrator reduced the step below the representable minimum."""
 
 
-class NoConvergence(CflowError):
-    """Iterative solver exhausted its iteration budget."""
-
-
 class CollisionError(CflowError):
     """Two roots approached within the collision threshold."""
-
-
-class SingularFlow(CflowError):
-    """Flow contour hit a singular point of the flow equation."""
-
-
-class BranchCollision(CflowError):
-    """Implicit recursion step degenerated (vanishing discriminant)."""
 
 
 class BlowUp(FlowStopped):
@@ -129,7 +119,7 @@ class BlowUp(FlowStopped):
 
 
 class ExceptionalPoint(CflowError):
-    """Correction formulas evaluated at the exceptional point g_inv = gamma**2."""
+    """Evaluation where two branches meet: g_inv = gamma**2, or a vanishing discriminant."""
 
 
 class DivisionByZero(CflowError):

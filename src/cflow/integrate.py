@@ -41,7 +41,7 @@ import cmath
 import math
 import numbers
 
-from .errors import DimensionMismatch, DomainError, FlowStopped, StepSizeUnderflow
+from .errors import DimensionMismatch, DomainError, FlowStopped, StepSizeUnderflow, _all_finite
 
 RTOL = 1e-11
 ATOL = 1e-13
@@ -402,8 +402,7 @@ def solve_rk4(f, nodes, y0, events=()):
     """
     if not len(nodes):
         raise DomainError("solve_rk4 needs at least one node")
-    # the sum is finite only when every node is; it overflows for some that are
-    if not cmath.isfinite(sum(nodes)) and not all(map(cmath.isfinite, nodes)):
+    if not _all_finite(nodes):
         raise DomainError("solve_rk4 needs finite nodes")
     scalar = isinstance(y0, numbers.Number)
     y = (complex(y0),) if scalar else tuple(complex(a) for a in y0)

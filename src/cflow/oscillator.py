@@ -11,7 +11,7 @@ import math
 import warnings
 
 from . import specfun as sf
-from .errors import DomainError, Overflow, SingularSystem, TruncationWarning, _Record
+from .errors import DomainError, Overflow, SingularSystem, TruncationWarning, _all_finite, _Record
 from .integrate import solve_rk4
 
 
@@ -37,7 +37,6 @@ class OscParams(_Record):
 
 class SeriesSolution(_Record):
     __slots__ = ("coeffs", "theta_const", "params")  # coeffs c_0 .. c_{n_max}
-    _defaults = {"params": None}
 
 
 def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max=20):
@@ -121,7 +120,7 @@ def frobenius_coeffs(params: OscParams, seeds=(1.0, 0.0), theta_const=0.0, n_max
         c[m] = (rhs[p] - sum(v * c[j] for j, v in rows[p].items())) / piv
 
     coeffs = tuple(c[m] for m in range(n_max + 1))
-    if not all(cmath.isfinite(x) for x in coeffs):
+    if not _all_finite(coeffs):
         raise SingularSystem("Frobenius coefficients are not finite")
     return SeriesSolution(coeffs, th, params)
 

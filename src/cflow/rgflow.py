@@ -17,9 +17,9 @@ import cmath
 import math
 
 from . import specfun as sf
-from .errors import (BlowUp, BranchCollision, BranchCut, DimensionMismatch,
-                     DivisionByZero, DomainError, ExceptionalPoint, NoConvergence,
-                     Overflow, PoleError, RangeError, _finite, _Record)
+from .errors import (BlowUp, BranchCut, DimensionMismatch, DivisionByZero,
+                     DomainError, ExceptionalPoint, NonConvergence, Overflow,
+                     PoleError, _all_finite, _finite, _Record)
 from .integrate import solve_rk4
 
 
@@ -29,9 +29,8 @@ class FlowState(_Record):
     __slots__ = ("tau", "g_inv", "gamma")
 
     def _check(self):
-        for v in (self.tau, self.g_inv, self.gamma):
-            if not cmath.isfinite(v):
-                raise DomainError("flow state fields must be finite")
+        if not _all_finite((self.tau, self.g_inv, self.gamma)):
+            raise DomainError("flow state fields must be finite")
 
 
 class Trajectory(_Record):
@@ -44,15 +43,24 @@ class Trajectory(_Record):
             raise DomainError("trajectory must contain at least one state")
         if not len(self.taus) == len(self.g_inv) == len(self.gamma):
             raise DimensionMismatch("trajectory columns differ in length")
-        for col in (self.taus, self.g_inv, self.gamma):
-            # the sum is finite only when every entry is; it overflows for some that are
-            if not cmath.isfinite(sum(col)) and not all(map(cmath.isfinite, col)):
-                raise DomainError("flow state fields must be finite")
+        if not all(map(_all_finite, (self.taus, self.g_inv, self.gamma))):
+            raise DomainError("flow state fields must be finite")
 
     @property
     def states(self) -> tuple:
-        """The samples as FlowStates, built on each access."""
-        return tuple(map(FlowState, self.taus, self.g_inv, self.gamma))
+        """The samples as FlowStates, built on each access from the columns,
+        which were checked at construction, so with no second `_check`."""
+        new = object.__new__
+        set_tau, set_g_inv, set_gamma = (FlowState.tau.__set__, FlowState.g_inv.__set__,
+                                         FlowState.gamma.__set__)
+        states = []
+        for tau, g_inv, gamma in zip(self.taus, self.g_inv, self.gamma):
+            state = new(FlowState)
+            set_tau(state, tau)
+            set_g_inv(state, g_inv)
+            set_gamma(state, gamma)
+            states.append(state)
+        return tuple(states)
 
 
 class WetterichParams(_Record):
@@ -91,7 +99,7 @@ def continuity_root(g_prev: complex, gamma_n: complex) -> complex:
     except OverflowError:
         raise Overflow("squared coupling overflows the float range") from None
     if collided:
-        raise BranchCollision("quadratic discriminant vanished (exceptional point)")
+        raise ExceptionalPoint("quadratic discriminant vanished (exceptional point)")
     r = cmath.sqrt(disc)
     cand = (0.5 * (g_prev + r), 0.5 * (g_prev - r))
     return min(cand, key=lambda g: abs(g - g_prev))
@@ -122,7 +130,7 @@ def tau_step_recursion(prev: FlowState, step: float = 1.0) -> FlowState:
         if abs(gam_next - gam) <= _RECURSION_TOL * max(abs(gam_next), 1e-300):
             return FlowState(prev.tau + step, continuity_root(g_prev, gam_next), gam_next)
         gam = gam + 0.5 * (gam_next - gam)
-    raise NoConvergence("coupling fixed point did not converge")
+    raise NonConvergence("coupling fixed point did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +505,9 @@ def normal_order_coeff(n: int, m: int, l: int) -> Fraction:
     """Normal-ordering weight n! / (2^l l! (n-l)! (n-m-l)!), an exact Fraction."""
     from fractions import Fraction
     if not (0 <= m <= n):
-        raise RangeError("requires 0 <= m <= n")
+        raise DomainError("requires 0 <= m <= n")
     if not (0 <= l <= min(m, n - m)):
-        raise RangeError("requires 0 <= l <= min(m, n-m)")
+        raise DomainError("requires 0 <= l <= min(m, n-m)")
     return Fraction(math.factorial(n),
                     2 ** l * math.factorial(l) * math.factorial(n - l)
                     * math.factorial(n - m - l))

@@ -343,12 +343,12 @@ def pfq(numer, denom, z) -> complex:
     numer = [complex(v) for v in numer]
     denom = [complex(v) for v in denom]
     z = complex(z)
+    if len(numer) == 2 and len(denom) == 1:  # hyp2f1 allows a c pole the series ends before
+        return hyp2f1(numer[0], numer[1], denom[0], z)
     for b in denom:
         n = _near_integer(b, 1e-12)
         if n is not None and n <= 0:
             raise PoleError(f"pFq denominator parameter {b} is a non-positive integer")
-    if len(numer) == 2 and len(denom) == 1:
-        return hyp2f1(numer[0], numer[1], denom[0], z)
     return _finite(_pfq_series(numer, denom, z), "pFq sum")
 
 

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from cflow import bethe
-from cflow.errors import (CollisionError, DomainError, PoleError,
-                          SingularFlow)
+from cflow.errors import CollisionError, DomainError, PoleError
 
 
 def root_defect(roots, N):
@@ -238,7 +237,7 @@ class TestGPScalingFlow:
             assert abs(s.g_inv - expect) < 1e-8 * abs(expect)
 
     def test_singular_locus_raises(self):
-        with pytest.raises(SingularFlow):
+        with pytest.raises(PoleError):
             bethe.gp_scaling_flow(2.0, np.linspace(0.0, 1.0, 21), 1.0, 1.0)
 
     def test_complex_contour_produces_rotating_trajectory(self):

@@ -270,10 +270,30 @@ class TestConfigFileAndErrors:
                 cli._write_json("bad.json", {"value": bad})
         assert not (in_tmp / "bad.json").exists()
 
-    def test_gamma_u_recurrence_cap_exits_1(self, in_tmp, capsys):
-        assert main(["eval", "--fn", "gamma_u", "--s_re", "-1e308",
-                     "--z_re", "1", "--out", "g.json"]) == 1
-        assert capsys.readouterr().err.count("\n") == 1
+    # every NonConvergence exits 2, whichever subcommand raises it
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "gamma_u", "--s_re", "-1e308", "--z_re", "1"],
+        ["eval", "--fn", "2f1", "--a", "1.5", "--b", "0.5", "--c", "2.0",
+         "--z_re", "1e7", "--z_im", "1"],
+        ["bethe", "--n", "6", "--N", "3"],
+    ], ids=["gamma_u_recurrence_cap", "2f1_continuation_cap", "bethe_homotopy_stall"])
+    def test_non_convergence_exits_2_one_line(self, in_tmp, capsys, argv):
+        assert main(argv + ["--out", "o.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cflow: diverged: ") and err.count("\n") == 1
+        assert not (in_tmp / "o.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "erfi", "--z_re", "1", "--out", "e.json"],
+        ["oscillator", "--N", "1", "--gamma", "0.5", "--out", "o.csv"],
+        ["phase", "--N_list", "2,3,4", "--out", "p.csv"],
+        ["cycle", "--input", "missing.csv", "--out", "c.json"],
+    ], ids=["eval", "oscillator", "phase", "cycle"])
+    def test_svg_outside_flow_exits_1_before_writing(self, in_tmp, capsys, argv):
+        assert main(argv + ["--svg", "x.svg"]) == 1
+        assert capsys.readouterr().err == "cflow: --svg plots a flow CSV; " \
+            f"{argv[0]} writes none\n"
+        assert os.listdir(in_tmp) == []
 
     def test_domain_error_exits_1(self, in_tmp):
         # gamma grid must be increasing

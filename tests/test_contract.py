@@ -3,16 +3,21 @@ typed `CflowError`, never a bare Python error, a nan or a hang.
 
 Scoped to every public function of `specfun` (a guard test keeps it so),
 `kelvin_bei_complex`, the Riccati solutions and the quasi-momentum, and the
-integrator.
+integrator.  Guard tests also keep `errors` to classes that some module
+raises or warns, and its finiteness rule for sequences to `isfinite`'s.
 """
+import ast
 import cmath
+import inspect
 import math
+import pathlib
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cflow import bethe, integrate, specfun
-from cflow.errors import CflowError
+from cflow import bethe, errors, integrate, specfun
+from cflow.errors import CflowError, _all_finite
 from conftest import FUZZ_FLOATS
 
 _COMPLEX = st.builds(complex, FUZZ_FLOATS, FUZZ_FLOATS)
@@ -121,3 +126,34 @@ def test_library_contract_fuzz(call, time_limit):
 def test_library_contract_fuzz_covers_specfun():
     # a new public special function cannot skip the fuzz
     assert set(specfun.__all__) <= set(_CALLS)
+
+
+def _raised_or_warned(tree):
+    """Names raised (``raise X(...)``) or warned (``warn(..., X)``) in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(getattr(exc, "id", None))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn":
+            names.update(getattr(arg, "id", None) for arg in node.args[1:])
+    return names
+
+
+def test_every_error_class_is_raised():
+    # one class per failure: a class nothing raises names no failure; the base
+    # CflowError is what callers catch, never what a module raises
+    src = pathlib.Path(errors.__file__).parent
+    used = set().union(*(_raised_or_warned(ast.parse(path.read_text()))
+                         for path in src.glob("*.py")))
+    classes = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, Exception)}
+    assert classes - {"CflowError"} <= used, sorted(classes - used - {"CflowError"})
+
+
+@pytest.mark.parametrize("values", [
+    [], [1.0, 2j], [1e308, 1e308], [1e308, -1e308, math.inf], [0j, complex(1.0, math.nan)],
+    (1.7976931348623157e308j, 1.7976931348623157e308j, -5e-324),
+])
+def test_all_finite_is_every_isfinite(values):
+    assert _all_finite(values) == all(map(cmath.isfinite, values))

@@ -40,13 +40,12 @@ _CASES = [
      [((0.0, 1 + 0j, 0.5j), DomainError)]),
     (OscParams, ("N", "gamma", "E"), {}, (1, 0.5, 1 + 0j),
      [((-1, 0.5, 1.0), DomainError), ((1, -0.5, 1.0), DomainError)]),
-    (SeriesSolution, ("coeffs", "theta_const", "params"), {"params": None},
+    (SeriesSolution, ("coeffs", "theta_const", "params"), {},
      ((1.0, 0.0, -0.5), 0j, OscParams(1, 0.5, 1.0)), []),
     (CycleReport, ("closed", "winding", "period_estimate", "min_return_distance",
                    "spiral_c", "spiral_residual"),
-     {"spiral_c": None, "spiral_residual": None}, (False, 0, 63.0, 0.25, 1.5, 1e-3), []),
-    (PhasePoint, ("N", "scale", "exponent_fit", "divergent"),
-     {"exponent_fit": None, "divergent": False}, (2.5, 1.25, 2.0, True), []),
+     {}, (False, 0, 63.0, 0.25, 1.5, 1e-3), []),
+    (PhasePoint, ("N", "scale", "exponent_fit", "divergent"), {}, (2.5, 1.25, 2.0, True), []),
     (ThermalScales, ("n_b", "t_b", "tau", "complex_branch"), {}, (0.5 + 0j, -0.1j, 2.0, True), []),
     (RunConfig, ("subcommand", "params", "out_path"), {},
      ("flow", {"N": 2, "variant": "lr"}, "x.csv"), []),

@@ -225,6 +225,13 @@ def test_pfq_bad_denominator_parameter():
         sf.pfq((1.0, 2.0), (-1.0,), 0.3)
 
 
+@pytest.mark.parametrize("a, b, c, z", [(-2, 1, -3, 0.5), (1, -1, -2, 2 + 1j), (-3, 0.5, -5, -1.5j)])
+def test_pfq_agrees_with_hyp2f1_where_the_series_ends_before_a_pole_in_c(a, b, c, z):
+    got = sf.pfq((a, b), (c,), z)
+    assert got == sf.hyp2f1(a, b, c, z)
+    assert rel_err(got, complex(mp.hyp2f1(a, b, c, mp.mpmathify(z)))) < 1e-14
+
+
 def test_1f1_and_1f4():
     assert rel_err(sf.pfq((1,), (2,), 1.5j), complex(mp.hyp1f1(1, 2, mp.mpc(0, 1.5)))) < 1e-10
     want = complex(mp.hyper([mp.mpf(1)], [mp.mpf(1) / 2, mp.mpf(3) / 4, mp.mpf(5) / 4, mp.mpf(3) / 2], mp.mpf("-0.8")))
